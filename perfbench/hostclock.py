@@ -7,10 +7,11 @@ benchmark interleaves a short fixed *reference probe* with the workload
 and rescales every stretch of workload time by the speed the probes saw
 around it.
 
-- Host time is process CPU time (user + system, :data:`CLOCK`): the
-  workloads are single-threaded and CPU-bound, so on an idle host it
-  equals wall time, and time the host gives to other tenants' processes
-  does not count.
+- Host time is process CPU time (user + system, :data:`CLOCK`): time
+  the host gives to other tenants' processes does not count.  Neither
+  does time the program spends blocked (a lock, a sleep, I/O), so
+  ``run.py`` reads the wall clock beside every timed span and reports
+  wall seconds per CPU second as a metric of its own.
 - A probe runs :func:`reference_loop` in ``PROBE_CHUNKS`` chunks; its
   duration estimate is ``PROBE_CHUNKS x`` the median chunk time, so one
   disturbed chunk does not skew it.  The probe's own time is excluded

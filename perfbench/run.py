@@ -9,14 +9,17 @@ Usage (from the repository root)::
 metrics of a separately traced run.  The last stdout line is one JSON
 object: ``{"correct", "attempted", "failed", "metrics"}``.  Every time is
 in reference-corrected seconds (see ``perfbench/hostclock.py``); the raw
-seconds and the probe series go to ``.perfbench_runs/details/``.  Exit 1
-when an output is wrong, 2 when the program's source is missing.
+seconds, the wall seconds and the probe series go to
+``.perfbench_runs/details/``.  Exit 1 when an output is wrong, 2 when the
+program's source is missing.
 """
 
 import time
 
-# setup_s starts at the benchmark's first statement (hostclock.CLOCK).
+# setup_s starts at the benchmark's first statement (hostclock.CLOCK);
+# the wall clock is read beside it, so time spent blocked shows.
 T0 = time.process_time()
+T0_WALL = time.perf_counter()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
@@ -31,9 +34,16 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path.cwd()
 SETUP_CHILDREN = 4
-MIN_WARM_REPS = 4
-MAX_WARM_REPS = 9
+WARM_REPS = 4
 CHILD_TIMEOUT_S = 150
+#: One set-up sample: corrected and raw CPU seconds, then wall and CPU
+#: seconds of the whole span, probes included.
+SETUP_KEYS = ("setup_s", "setup_raw_s", "setup_wall_s", "setup_cpu_s")
+#: A run whose timed spans took more wall than CPU seconds by this factor
+#: spent time blocked or descheduled, which the CPU-time metrics do not
+#: see; it is flagged on stderr.  Single short spans read up to about 1.4
+#: on an idle 2-vCPU host, whole runs 1.0-1.1.
+WALL_CPU_FLAG = 1.2
 
 
 def parse_args(argv=None):
@@ -43,9 +53,9 @@ def parse_args(argv=None):
                                  "loadtest-model"))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=20.0,
-                        help="measurement budget: the cold pass plus as "
-                        f"many warm reruns as fit ({MIN_WARM_REPS} to "
-                        f"{MAX_WARM_REPS})")
+                        help="accepted for the common benchmark command "
+                        "line; a run's length is set by its fixed work "
+                        f"(one cold pass, {WARM_REPS} warm reruns)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--no-probe", action="store_true",
                         help="run no reference probe (corrected == raw); "
@@ -54,9 +64,6 @@ def parse_args(argv=None):
                         help=argparse.SUPPRESS)
     parser.add_argument("--cold-only", action="store_true",
                         help=argparse.SUPPRESS)
-    parser.add_argument("--record-reference", action="store_true",
-                        help="store this run's output digest as the "
-                        "workload's reference (seed 0 only)")
     return parser.parse_args(argv)
 
 
@@ -120,9 +127,11 @@ def measure(args, sampler, workdir: Path) -> int:
         raise RuntimeError("result cache is not private to this run")
     workload = WORKLOADS[args.workload](args.seed, workdir)
     units = workload.units()
-    setup = sampler.correct(T0, sampler.clock())
+    now = sampler.clock()
+    setup = sampler.correct(T0, now) + (time.perf_counter() - T0_WALL,
+                                        now - T0)
     if args.setup_only:
-        print(json.dumps({"setup_s": setup[0], "setup_raw_s": setup[1]}))
+        print(json.dumps(dict(zip(SETUP_KEYS, setup))))
         return 0
     setups = [setup]
     if not (args.cold_only or args.trace):
@@ -138,11 +147,13 @@ def measure(args, sampler, workdir: Path) -> int:
     sampler.resume(DEFAULT_INTERVAL_S)
     sampler.mark()
     start = sampler.clock()
+    wall_start = time.perf_counter()
     for label, unit in units:
         try:
             unit()
         except Exception as exc:  # a failed unit is counted, not fatal
             workload.failed_units.append(f"{label}: {exc!r}"[:300])
+    wall_end = time.perf_counter()
     end = sampler.clock()
     sampler.mark()
     run_s, run_raw = sampler.correct(start, end)
@@ -163,8 +174,8 @@ def measure(args, sampler, workdir: Path) -> int:
                "trace": args.trace, "probe": not args.no_probe,
                "digest": digest, "work": workload.work(),
                "failed_units": workload.failed_units,
-               "setup": [list(pair) for pair in setups],
-               "run": [run_s, run_raw],
+               "setup": [list(sample) for sample in setups],
+               "run": [run_s, run_raw, wall_end - wall_start, end - start],
                "probe_share": (sampler.probe_seconds(start, end)
                                / (end - start)),
                "probes": sampler.series(start, end)}
@@ -173,24 +184,36 @@ def measure(args, sampler, workdir: Path) -> int:
         metrics = {"run_s": {"value": run_s, "unit": "s"}}
     elif tracer is not None:
         metrics, trace_problems = layer_metrics(
-            args, sampler, instrumentation, tracer, run_s, workdir, details)
+            args, sampler, instrumentation, tracer, run_s, digest, workdir,
+            details)
         problems += trace_problems
     else:
         warm, warm_failed = warm_reps(args, workload, sampler, workdir,
-                                      run_raw, details)
+                                      details)
         attempted += len(warm)
         failed += warm_failed
-        raw.update(setup_s=statistics.median(r for _c, r in setups),
-                   warm_s=statistics.median(r for _c, r in details["warm"]))
+        spans = [details["run"]] + details["setup"] + details["warm"]
+        wall_per_cpu = sum(s[2] for s in spans) / sum(s[3] for s in spans)
+        raw.update(run_wall_s=wall_end - wall_start,
+                   setup_s=statistics.median(s[1] for s in setups),
+                   setup_wall_s=statistics.median(s[2] for s in setups),
+                   warm_s=statistics.median(s[1] for s in details["warm"]),
+                   warm_wall_s=statistics.median(
+                       s[2] for s in details["warm"]))
         metrics = {
             "run_s": {"value": run_s, "unit": "s"},
-            "setup_s": {"value": statistics.median(c for c, _r in setups),
+            "setup_s": {"value": statistics.median(s[0] for s in setups),
                         "unit": "s"},
             "work_per_s": {"value": workload.work() / run_s,
                            "unit": "work/s"},
             "warm_s": {"value": statistics.median(warm), "unit": "s"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
+            "wall_per_cpu": {"value": wall_per_cpu, "unit": "ratio"},
         }
+        if wall_per_cpu > WALL_CPU_FLAG:
+            print(f"perfbench: warning: {wall_per_cpu:.2f} wall seconds "
+                  "per CPU second: time spent blocked or descheduled",
+                  file=sys.stderr)
     details.update(metrics=metrics, raw=raw, problems=problems)
     write_details(details)
     for problem in problems:
@@ -202,14 +225,17 @@ def measure(args, sampler, workdir: Path) -> int:
     if problems:
         failed = max(failed, 1)
     correct = failed == 0
-    print(json.dumps({"correct": correct, "attempted": attempted,
-                      "failed": failed, "metrics": metrics}))
+    result = {"correct": correct, "attempted": attempted, "failed": failed,
+              "metrics": metrics}
+    if args.cold_only:  # read by the traced run, not by a user
+        result["digest"] = digest
+    print(json.dumps(result))
     return 0 if correct else 1
 
 
 def setup_children(args, sampler, workdir: Path) -> list:
     """More set-up samples: fresh processes that stop before the first
-    unit and report their own corrected set-up time."""
+    unit and report their own set-up time."""
     samples = []
     for _ in range(SETUP_CHILDREN):
         with sampler.paused():
@@ -217,7 +243,7 @@ def setup_children(args, sampler, workdir: Path) -> list:
         if child.returncode != 0:
             raise RuntimeError(f"setup child failed:\n{child.stderr}")
         doc = last_json(child.stdout)
-        samples.append((doc["setup_s"], doc["setup_raw_s"]))
+        samples.append(tuple(doc[key] for key in SETUP_KEYS))
     return samples
 
 
@@ -242,42 +268,39 @@ def check_outputs(workload, args):
         "PERFBENCH_REFERENCE",
         Path(__file__).resolve().with_name("reference.json")))
     reference = json.loads(reference_path.read_text())
-    if args.record_reference:
-        reference[args.workload] = digest
-        reference_path.write_text(json.dumps(reference, indent=2,
-                                             sort_keys=True) + "\n")
-    elif reference.get(args.workload) != digest:
+    if reference.get(args.workload) != digest:
         problems.append(f"output digest {digest} != reference "
                         f"{reference.get(args.workload)}")
     return digest, problems
 
 
-def warm_reps(args, workload, sampler, workdir, cold_raw, details):
-    """Rerun the user's command against the filled private cache: at
-    least MIN_WARM_REPS times, more while the budget lasts.  Each command
-    runs under ``child.py``, whose own probes correct its CPU time."""
-    samples, raws, failed = [], [], 0
+def warm_reps(args, workload, sampler, workdir, details):
+    """Rerun the user's command against the filled private cache
+    WARM_REPS times.  Each command runs under ``child.py``, whose own
+    probes correct its CPU time."""
+    samples, spans, failed = [], [], 0
     timing = workdir / "warm-timing.json"
     wrapper = [sys.executable, str(Path(__file__).with_name("child.py"))]
     if args.no_probe:
         wrapper.append("--no-probe")
-    while len(samples) < MAX_WARM_REPS and (
-            len(samples) < MIN_WARM_REPS
-            or cold_raw + sum(raws) < args.seconds):
-        corrected = raw = 0.0
+    for _ in range(WARM_REPS):
+        corrected = raw = wall = cpu = 0.0
         outs = []
         for command in workload.warm_commands():
             with sampler.paused():
                 before = children_cpu_s()
+                wall_before = time.perf_counter()
                 outs.append(run_child(wrapper + [str(timing)] + command,
                                       workdir))
+                wall += time.perf_counter() - wall_before
                 spent = children_cpu_s() - before
             inner = json.loads(timing.read_text())
             outside = spent - inner["probe_s"]
             corrected += outside * inner["corrected"] / inner["raw"]
             raw += outside
+            cpu += spent
         samples.append(corrected)
-        raws.append(raw)
+        spans.append([corrected, raw, wall, cpu])
         bad = [o for o in outs if o.returncode != 0]
         problems = ([f"warm command exited {o.returncode}: "
                      f"{o.stderr[-300:]}" for o in bad]
@@ -285,14 +308,15 @@ def warm_reps(args, workload, sampler, workdir, cold_raw, details):
         if problems:
             failed += 1
             details.setdefault("warm_problems", []).extend(problems)
-    details["warm"] = [list(pair) for pair in zip(samples, raws)]
+    details["warm"] = spans
     return samples, failed
 
 
-def layer_metrics(args, sampler, instrumentation, tracer, run_s, workdir,
-                  details):
-    """Per-layer metrics plus the traced run's own checks: zero residual
-    and the overhead against an untraced cold pass in a fresh process."""
+def layer_metrics(args, sampler, instrumentation, tracer, run_s, digest,
+                  workdir, details):
+    """Per-layer metrics plus the traced run's own checks: zero residual,
+    and an untraced cold pass in a fresh process that must produce the
+    same output digest and gives the tracing overhead."""
     problems = []
     residual = tracer.residual()
     if abs(residual["corrected"]) > 1e-6 or abs(residual["raw"]) > 1e-6:
@@ -304,7 +328,11 @@ def layer_metrics(args, sampler, instrumentation, tracer, run_s, workdir,
                         f"{child.stderr[-300:]}")
         untraced = run_s
     else:
-        untraced = last_json(child.stdout)["metrics"]["run_s"]["value"]
+        doc = last_json(child.stdout)
+        untraced = doc["metrics"]["run_s"]["value"]
+        if doc["digest"] != digest:
+            problems.append(f"traced output digest {digest} != untraced "
+                            f"{doc['digest']}")
     values = instrumentation.metrics()
     values.update({"trace.residual_s": residual["corrected"],
                    "trace.run_s": run_s,

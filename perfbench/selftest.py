@@ -3,15 +3,19 @@
 Usage (from the repository root)::
 
     python3 perfbench/selftest.py          # arithmetic only, < 1 s
-    python3 perfbench/selftest.py --full   # + probe on/off identity and
-                                           #   a tampered reference (~2 min)
+    python3 perfbench/selftest.py --full   # + probe on/off identity, a
+                                           #   tampered reference and two
+                                           #   traced runs each (~8 min)
 
 The arithmetic checks use synthetic probe marks and a fake clock: probe
 time is excluded, each stretch is scaled by the probes that bracket it,
 and the tracer's layer self times add up to its span.  ``--full`` runs
 every workload's cold pass with the probe on and off and requires the
 same output digest, then runs the conformance cold pass against a
-tampered reference and requires a nonzero exit.
+tampered reference and requires a nonzero exit.  Last it makes two traced
+runs of every workload at a seed other than the default: each must pass
+its own checks (zero residual, and the same output digest as an untraced
+cold pass) and every count must repeat exactly across the two.
 """
 
 from __future__ import annotations
@@ -125,6 +129,30 @@ def check_full() -> None:
     assert code != 0
 
 
+TRACED_SEED = 3
+
+
+def traced_counts(workload: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", str(TRACED_SEED), "--seconds", "20",
+         "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    return {name: metric["value"] for name, metric in metrics.items()
+            if metric["unit"] == "count"}
+
+
+def check_traced() -> None:
+    for workload in ("conformance", "paper-tables", "loadtest-model"):
+        first, second = traced_counts(workload), traced_counts(workload)
+        differing = sorted(name for name in first
+                           if first[name] != second.get(name))
+        print(f"  {workload}: {len(first)} counts, differing {differing}")
+        assert first and first.keys() == second.keys() and not differing
+
+
 def main() -> int:
     check_correct()
     check_tracer()
@@ -132,6 +160,8 @@ def main() -> int:
     if "--full" in sys.argv[1:]:
         check_full()
         print("probe on/off identity and tampered reference: ok")
+        check_traced()
+        print("traced runs: checks pass, counts repeat: ok")
     return 0
 
 

@@ -239,9 +239,12 @@ class Conformance(Workload):
                        str(self.workdir / "conformance-warm.json"))]
 
     def warm_problems(self, stdouts: List[str]) -> List[str]:
+        # The whole verdict of every cell of the column, divergence
+        # details and fault seed included, against the cold pass.
         doc = json.loads((self.workdir / "conformance-warm.json").read_text())
-        warm = sorted((c["mechanism"], c["ok"]) for c in doc["cells"])
-        cold = sorted((m, not d) for m, w, s, d in self.verdicts()
+        warm = sorted([c["mechanism"], c["workload"], c["seed"],
+                       c["divergences"]] for c in doc["cells"])
+        cold = sorted([m, w, s, d] for m, w, s, d in self.verdicts()
                       if w == "pwd" and s == self.base)
         return [] if warm == cold else ["warm conformance verdicts differ"]
 
