@@ -7,12 +7,15 @@ shift between releases, this module does not.  Four facets:
 **Running** — the one builder every harness constructs runs through:
 :func:`run` executes a frozen :class:`RunConfig` (mechanism, workload,
 seed, optional fault schedule, attached sinks/analyzers) and returns a
-:class:`RunResult` (exit status, counters, analyzer verdicts, trace
-path).  :func:`prepare` is the two-phase variant for lockstep harnesses
-such as the shadow mirror (:mod:`repro.shadow`).  :class:`FaultSchedule`
-(built with :func:`build_schedule` from a seed and a
-:class:`FaultConfig`) is the deterministic fault plan a run can carry;
-:class:`AnalyzerSuite` fans one bus attachment out to streaming
+:class:`RunResult` (exit status, cycles, analyzer verdicts, trace path,
+and counters when a :class:`CounterSink` rides in ``sinks``).
+:func:`prepare` is the two-phase variant for lockstep harnesses such as
+the shadow mirror (:mod:`repro.shadow`); it is also the only code that
+boots a machine, so the evaluation tables, conformance cells and tools
+share its workload table and its memoized K23 offline pass.
+:class:`FaultSchedule` (built with :func:`build_schedule` from a seed
+and a :class:`FaultConfig`) is the deterministic fault plan a run can
+carry; :class:`AnalyzerSuite` fans one bus attachment out to streaming
 analyzers whose findings surface as :class:`PitfallVerdict` records.
 
 **Observability** — the typed instrumentation bus
@@ -32,9 +35,8 @@ hooks; :data:`EMPTY_HOOK` is the identity.
 
 **Traffic** — the :class:`~repro.workloads.clients.TrafficSource`
 protocol every load driver implements: :class:`KeepAliveSource` is the
-closed-loop keep-alive driver (the old ``LoadGenerator``),
-:class:`MirroredSource` the dark-launch mirroring wrapper (the old
-``MirroredLoadGenerator``; both old names remain as warn-once shims).
+closed-loop keep-alive driver and :class:`MirroredSource` the
+dark-launch mirroring wrapper.
 :class:`TrafficConfig` describes an open-loop load test that
 ``RunConfig(traffic=...)`` or :func:`repro.traffic.engine.run_loadtest`
 executes into an :class:`SLOReport` (``METRICS_slo.json``);
@@ -42,10 +44,6 @@ executes into an :class:`SLOReport` (``METRICS_slo.json``);
 events the full-serve fleet emits.
 
 **Simulation** — the :class:`~repro.kernel.kernel.Kernel` itself.
-
-The historical ``repro.evaluation.runner.MECHANISMS`` /
-``make_interposer`` entry points are deprecated shims over
-:data:`REGISTRY` and warn (once per process) on first access.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@
   drop, geometric means, std-% reporting, and the seeded measurement-noise
   model (the simulator is deterministic; run-to-run variance is modelled).
 - :mod:`repro.evaluation.runner` — micro/macro measurement drivers over the
-  mechanism registry (:mod:`repro.interposers.registry`).
+  mechanism registry (:mod:`repro.interposers.registry`); every run goes
+  through :mod:`repro.runapi`.
 - :mod:`repro.evaluation.pipeline` — the parallel, memoized evaluation
   pipeline (``ScenarioSpec`` cells, multiprocessing pool, deterministic
   merge).
@@ -28,15 +29,6 @@ from repro.evaluation.runner import (
 )
 
 
-def __getattr__(name: str):
-    # Back-compat: ``repro.evaluation.MECHANISMS`` resolves through the
-    # runner's deprecation shim (DeprecationWarning; use
-    # repro.interposers.registry.REGISTRY.names() instead).
-    if name == "MECHANISMS":
-        from repro.evaluation import runner
-
-        return runner.MECHANISMS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from repro.evaluation.cache import ResultCache
 from repro.evaluation.pipeline import (
     CellResult,
@@ -54,7 +46,6 @@ from repro.evaluation.pipeline import (
 __all__ = [
     "RepeatedMeasurement",
     "geomean",
-    "MECHANISMS",
     "measure_micro_cycles",
     "micro_overheads",
     "MacroConfig",

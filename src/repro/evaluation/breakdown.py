@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from repro.cpu.cycles import Event
-from repro.kernel import Kernel
 
 
 @dataclass(frozen=True)
@@ -60,37 +59,21 @@ def _counts_for(name: str, iterations: int, seed: int,
     lifetime; returns ``(sink, final cycle counter)``.  *extra_sinks*
     (e.g. a :class:`~repro.observability.analyzers.LatencyAnalyzer`)
     listen over the same run."""
-    from repro.core import OfflinePhase
-    from repro.core.offline import import_logs
-    from repro.evaluation.runner import needs_offline
-    from repro.interposers.registry import REGISTRY
+    from repro.faultinject.schedule import build_schedule
     from repro.observability.sinks import CounterSink
-    from repro.workloads.stress import STRESS_PATH, build_stress
+    from repro.runapi import RunConfig, prepare
 
-    kernel = Kernel(seed=seed)
-    kernel.torn_window_probability = 0.0
     sink = CounterSink()
-    kernel.bus.attach(sink)
-    for extra in extra_sinks:
-        kernel.bus.attach(extra)
-    build_stress(iterations).register(kernel)
-    if needs_offline(name):
-        offline_kernel = Kernel(seed=seed + 1)
-        build_stress(16).register(offline_kernel)
-        offline = OfflinePhase(offline_kernel)
-        offline.run(STRESS_PATH)
-        import_logs(kernel, offline.export())
-    REGISTRY.create(name, kernel)
+    schedule = None
     if fault_config is not None:
-        from repro.faultinject.engine import FaultInjector
-        from repro.faultinject.schedule import build_schedule
-
-        FaultInjector(kernel, build_schedule(fault_seed, fault_config))
-    process = kernel.spawn_process(STRESS_PATH)
-    kernel.run_process(process, max_steps=50_000_000)
-    if not process.exited or process.exit_status != 0:
+        schedule = build_schedule(fault_seed, fault_config)
+    prepared = prepare(RunConfig(
+        mechanism=name, workload="stress", seed=seed, aslr=True,
+        params=(("iterations", iterations),), schedule=schedule,
+        sinks=(sink,) + tuple(extra_sinks), max_steps=50_000_000))
+    if prepared.execute().exit_status != 0:
         raise RuntimeError(f"decomposition run failed under {name}")
-    return sink, kernel.cycles.cycles
+    return sink, prepared.kernel.cycles.cycles
 
 
 def decompose(name: str, iterations: int = 800, seed: int = 85,

@@ -2,20 +2,20 @@
 
 The simulator is deterministic (rr-style: same seed, same inputs, same
 cycle counts), so a (mechanism, workload, config) cell is a pure function
-of its inputs and can be memoized soundly.  The cache key captures exactly
-those inputs:
+of its inputs and can be memoized soundly.  The cache key captures those
+inputs coarsely enough that it cannot miss one:
 
-- the mechanism name and the workload/cell identity (kind, key, seed,
-  iteration parameters);
-- the *values* of the cycle-model constants the mechanism's measured path
-  depends on (the registry's per-mechanism ``cost_events`` plus the
-  baseline events, ``CLOCK_HZ``, and — for SUD-armed mechanisms — the
-  signal-contention factor).  Editing ``HASHSET_CHECK`` therefore
-  invalidates the K23-ultra cells and nothing else;
-- AST-level source digests of the modules the cell executes (measurement
-  driver, interposer framework, the mechanism's own module, the kernel,
-  and the cell's workload modules).  Digests are computed over the parsed
-  AST, so comment-only and formatting-only edits do **not** invalidate.
+- the cell identity: kind, mechanism (with its registry kwargs),
+  workload, seed and parameters;
+- the whole cycle-model cost table, ``CLOCK_HZ`` and the SUD
+  signal-contention factor, plus the engine-tier escape hatches;
+- one SHA-256 over the sorted relative paths and raw bytes of every
+  ``*.py`` file in the ``repro`` package — and over the factory module of
+  a mechanism registered from outside it.  Any edit to the package, a
+  comment included, re-keys every cell.  A finer key would have to know
+  each cell's import closure, and the hand-kept module lists this
+  replaces had already missed K23's own runtime.  The digest is computed
+  once per process and costs a few milliseconds.
 
 Entries are one JSON file per key under the cache root (default
 ``~/.cache/repro-eval``, override with ``$REPRO_EVAL_CACHE``); writes are
@@ -24,10 +24,8 @@ atomic (temp file + rename) so concurrent runs never observe torn entries.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import importlib
-import inspect
 import json
 import os
 import tempfile
@@ -35,65 +33,13 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple
 
 #: Bump when the key layout or cell value format changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Sentinel distinguishing "no entry" from a cached falsy value.
 MISS = object()
 
-#: Modules every cell executes, whatever the mechanism or workload.  The
-#: interpreter stack (dispatch semantics, block cache, icache, memory) is
-#: included so a change to execution machinery invalidates every cell —
-#: stale cached cells must never mask an interpreter behaviour change.
-COMMON_DEPENDENCIES: Tuple[str, ...] = (
-    "repro.evaluation.runner",
-    "repro.interposers.base",
-    "repro.kernel.kernel",
-    "repro.cpu.core",
-    "repro.cpu.dispatch",
-    "repro.cpu.blocks",
-    "repro.cpu.icache",
-    "repro.cpu.engine",
-    "repro.cpu.tracejit",
-    "repro.memory.address_space",
-)
-
-#: Workload-key prefix → modules that cell's measurement exercises.
-_MACRO_WORKLOAD_MODULES: Dict[str, Tuple[str, ...]] = {
-    "nginx": ("repro.workloads.nginx", "repro.workloads.http",
-              "repro.workloads.clients"),
-    "lighttpd": ("repro.workloads.lighttpd", "repro.workloads.http",
-                 "repro.workloads.clients"),
-    "redis": ("repro.workloads.redis", "repro.workloads.clients"),
-    "sqlite": ("repro.workloads.sqlite",),
-}
-
-_MICRO_WORKLOAD_MODULES: Tuple[str, ...] = ("repro.workloads.stress",)
-
-#: Modules every shadow (dark-launch) cell executes on top of the
-#: workload's own: the run surface, the mirroring seam, and the
-#: normalization/diff machinery the verdict is computed with.
-_SHADOW_MODULES: Tuple[str, ...] = (
-    "repro.runapi",
-    "repro.shadow.divergence",
-    "repro.shadow.harness",
-    "repro.workloads.clients",
-    "repro.faultinject.conformance",
-    "repro.tools.tracediff",
-)
-
-#: Modules every loadtest (traffic-engine) shard executes on top of the
-#: served workload's own: schedule generation, the queueing fabric, the
-#: fleet driver (calibration + full-serve), and the run surface.
-_LOADTEST_MODULES: Tuple[str, ...] = (
-    "repro.runapi",
-    "repro.traffic.config",
-    "repro.traffic.schedule",
-    "repro.traffic.loadbalancer",
-    "repro.traffic.fleet",
-    "repro.traffic.engine",
-    "repro.observability.analyzers.latency",
-    "repro.observability.spans",
-)
+#: The ``repro`` package directory whose sources every key digests.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
 def default_cache_root() -> Path:
@@ -105,40 +51,38 @@ def default_cache_root() -> Path:
 
 # ------------------------------------------------------------- source digests
 
-
-def source_digest(source: str) -> str:
-    """SHA-256 of the parsed AST of *source* — stable across comment-only
-    and whitespace-only edits, changed by any semantic edit."""
-    tree = ast.parse(source)
-    return hashlib.sha256(ast.dump(tree).encode("utf-8")).hexdigest()
+#: Source-tree root → digest, so each tree is read once per process.
+_DIGESTS: Dict[Path, str] = {}
 
 
-def module_source_digest(module_name: str) -> str:
-    """AST digest of an importable module's source (cached per process)."""
-    cached = _MODULE_DIGESTS.get(module_name)
-    if cached is None:
-        module = importlib.import_module(module_name)
-        cached = source_digest(inspect.getsource(module))
-        _MODULE_DIGESTS[module_name] = cached
-    return cached
+def source_digest(root: Optional[Path] = None) -> str:
+    """SHA-256 over the sorted relative paths and raw bytes of every
+    ``*.py`` file under *root* (default: the ``repro`` package)."""
+    root = Path(root) if root is not None else PACKAGE_ROOT
+    digest = _DIGESTS.get(root)
+    if digest is None:
+        files = sorted((path.relative_to(root).as_posix(), path)
+                       for path in root.rglob("*.py"))
+        sha = hashlib.sha256()
+        for relative, path in files:
+            data = path.read_bytes()
+            sha.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+            sha.update(data)
+        digest = _DIGESTS[root] = sha.hexdigest()
+    return digest
 
 
-_MODULE_DIGESTS: Dict[str, str] = {}
-
-
-def workload_modules(kind: str, workload: str) -> Tuple[str, ...]:
-    """The workload modules one cell depends on."""
-    if kind == "micro":
-        return _MICRO_WORKLOAD_MODULES
-    prefix = workload.split("-", 1)[0]
-    base = _MACRO_WORKLOAD_MODULES.get(prefix, ())
-    if kind == "shadow":
-        if workload == "stress":
-            base = _MICRO_WORKLOAD_MODULES
-        return _SHADOW_MODULES + base
-    if kind == "loadtest":
-        return _LOADTEST_MODULES + base
-    return base
+def _factory_digest(factory: str) -> Optional[str]:
+    """Digest of a mechanism factory's module when it lives outside the
+    package (None for in-package factories, which the package digest
+    already covers)."""
+    name = factory.partition(":")[0]
+    if name == "repro" or name.startswith("repro."):
+        return None
+    path = getattr(importlib.import_module(name), "__file__", None)
+    if path is None:
+        return name
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # ------------------------------------------------------------------ cell keys
@@ -152,15 +96,17 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
     mechanism the registry has never seen (such a cell cannot be cached —
     or executed).
     """
-    from repro.cpu.cycles import CLOCK_HZ, DEFAULT_COSTS, Event
+    from repro.cpu.cycles import CLOCK_HZ, DEFAULT_COSTS
     from repro.cpu.cycles import SUD_CONTENTION_FACTOR
     from repro.cpu.engine import EngineConfig
     from repro.interposers.registry import REGISTRY
 
     spec = REGISTRY.get(mechanism)
-    costs = {name: DEFAULT_COSTS[Event[name]]
-             for name in spec.relevant_events}
-    constants: Dict[str, object] = {"clock_hz": CLOCK_HZ, "costs": costs}
+    constants: Dict[str, object] = {
+        "clock_hz": CLOCK_HZ,
+        "costs": {event.name: cost for event, cost in DEFAULT_COSTS.items()},
+        "sud_contention_factor": SUD_CONTENTION_FACTOR,
+    }
     # Engine-tier selection cannot change any measured number (the tiers
     # are cycle-exact by construction), but a tier bug would — so cells
     # measured under different REPRO_NO_* hatches must never share an
@@ -169,24 +115,6 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
     constants["engine"] = dict(
         EngineConfig.from_env().flags(),
         block_cache=os.environ.get("REPRO_NO_BLOCK_CACHE", "") != "1")
-    if spec.arms_sud:
-        constants["sud_contention_factor"] = SUD_CONTENTION_FACTOR
-    modules = (COMMON_DEPENDENCIES + (spec.factory.partition(":")[0],)
-               + workload_modules(kind, workload))
-    sorted_params = sorted((key, value) for key, value in params)
-    # Shadow cells run a second mechanism: fold its cost constants and
-    # its module digest into the key so editing the shadow-side
-    # mechanism invalidates the cell exactly like editing the primary.
-    shadow_name = next((value for key, value in sorted_params
-                        if key == "shadow"), None)
-    if shadow_name is not None:
-        shadow_spec = REGISTRY.get(str(shadow_name))
-        constants["shadow_costs"] = {
-            name: DEFAULT_COSTS[Event[name]]
-            for name in shadow_spec.relevant_events}
-        if shadow_spec.arms_sud:
-            constants["sud_contention_factor"] = SUD_CONTENTION_FACTOR
-        modules = modules + (shadow_spec.factory.partition(":")[0],)
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": kind,
@@ -194,10 +122,10 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
         "mechanism_kwargs": list(spec.kwargs),
         "workload": workload,
         "seed": seed,
-        "params": sorted_params,
+        "params": sorted((key, value) for key, value in params),
         "constants": constants,
-        "sources": {name: module_source_digest(name)
-                    for name in sorted(set(modules))},
+        "source": source_digest(),
+        "factory_source": _factory_digest(spec.factory),
     }
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.faultinject.conformance import (Observation, WORKLOADS,
+from repro.faultinject.conformance import (Observation, check_workload,
                                            conformance_config, run_cell)
 from repro.faultinject.schedule import FaultConfig
 
@@ -146,8 +146,7 @@ def run_matrix(mechanisms: Optional[Sequence[str]] = None,
     names = (tuple(mechanisms) if mechanisms is not None
              else tuple(REGISTRY.names()))
     for wl in workloads:
-        if wl not in WORKLOADS:
-            raise ValueError(f"unknown workload {wl!r}")
+        check_workload(wl)
     config = config or conformance_config()
     matrix = ConformanceMatrix(names, tuple(workloads), tuple(seeds))
     cells = [(mech, workload, seed)

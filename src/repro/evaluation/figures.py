@@ -26,8 +26,6 @@ from repro.arch import (
 )
 from repro.arch.registers import Reg
 from repro.core import OfflinePhase
-from repro.core.offline import import_logs
-from repro.interposers.registry import REGISTRY
 from repro.kernel import Kernel
 from repro.kernel.syscalls import Nr
 from repro.workloads.coreutils import install_coreutils
@@ -148,17 +146,13 @@ def figure3(seed: int = 8) -> Tuple[str, str]:
 def figure4(seed: int = 8) -> str:
     """Figure 4: online-phase flow — ptracer stage, handoff, selective
     rewrite, and the two interposition paths."""
-    offline_kernel = Kernel(seed=seed)
-    install_coreutils(offline_kernel, names=["/usr/bin/ls"])
-    offline = OfflinePhase(offline_kernel)
-    offline.run("/usr/bin/ls")
+    from repro.runapi import RunConfig, prepare
 
-    kernel = Kernel(seed=seed + 1)
-    install_coreutils(kernel, names=["/usr/bin/ls"])
-    import_logs(kernel, offline.export())
-    k23 = REGISTRY.create("K23-ultra", kernel)
-    process = kernel.spawn_process("/usr/bin/ls")
-    kernel.run_process(process)
+    prepared = prepare(RunConfig(mechanism="K23-ultra", workload="ls",
+                                 seed=seed + 1, aslr=True))
+    prepared.execute()
+    kernel, k23, process = (prepared.kernel, prepared.interposer,
+                            prepared.process)
 
     vias: Dict[str, int] = {}
     for _nr, via in k23.handled.get(process.pid, []):

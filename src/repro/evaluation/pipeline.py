@@ -20,15 +20,16 @@ previously serial, recompute-everything harness into a pipeline:
    salvaged or re-run serially;
 3. **memoize** — each cell is looked up in / written to the
    content-addressed :class:`~repro.evaluation.cache.ResultCache`, keyed on
-   the mechanism, the workload, the cycle-model constants the mechanism
-   depends on, and AST-level source digests of the modules the cell
-   executes (see :mod:`repro.evaluation.cache`);
+   the cell, the whole cycle-model cost table, and one digest of every
+   source file in the ``repro`` package (see
+   :mod:`repro.evaluation.cache`);
 4. **merge** — results are folded back into the exact dict shapes the
    existing table renderers consume, in registry/config order, so pipeline
    output is byte-identical to a serial run regardless of completion order.
 
 The benchmarks, the experiments CLI, and ``python -m repro.tools.evalrun``
-all run on this substrate.
+all run on this substrate; each cell's machines are built by
+:mod:`repro.runapi`.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ class ScenarioSpec:
     """One cell of the evaluation matrix — picklable by construction.
 
     Attributes:
-        kind: ``"micro"`` (Table 5), ``"macro"`` (Table 6),
-            ``"shadow"`` (a dark-launch cell — the primary mechanism is
-            ``mechanism``, the candidate rides in ``params``), or
+        kind: ``"micro"`` (Table 5), ``"macro"`` (Table 6), or
             ``"loadtest"`` (one traffic-engine shard — the canonical
             TrafficConfig JSON and shard coordinates ride in
             ``params``).
@@ -70,11 +69,11 @@ class ScenarioSpec:
         workload: ``"syscall-stress"`` for micro cells, a
             :data:`~repro.evaluation.runner.MACRO_BY_KEY` row key for
             macro cells, a :data:`repro.runapi.WORKLOADS` key for
-            shadow cells.
+            loadtest cells.
         seed: base RNG seed the cell's kernels derive from.
         params: extra parameters as a sorted tuple of pairs (micro
-            iteration counts; shadow mechanism/budget/requests),
-            keeping the spec hashable.
+            iteration counts; loadtest traffic and shard), keeping the
+            spec hashable.
     """
 
     kind: str
@@ -194,22 +193,6 @@ def macro_specs(keys: Optional[Sequence[str]] = None,
     return specs
 
 
-def shadow_specs(primary: str, shadows: Sequence[str], workload: str,
-                 seed: int = 40, budget: int = 0,
-                 requests: int = 24) -> List[ScenarioSpec]:
-    """Dark-launch cells: one per candidate *shadow* mechanism.
-
-    Each cell runs :func:`repro.shadow.run_shadow` with *primary*
-    serving and the candidate mirroring; the cell value is the
-    :meth:`~repro.shadow.ShadowReport.to_dict` document (verdict,
-    divergence count, latency deltas), memoized like any other cell.
-    """
-    base = (("budget", budget), ("requests", requests))
-    return [ScenarioSpec("shadow", primary, workload, seed,
-                         tuple(sorted(base + (("shadow", name),))))
-            for name in shadows]
-
-
 def full_matrix_specs(mechanisms: Optional[Sequence[str]] = None,
                       macro_keys: Optional[Sequence[str]] = None,
                       smoke: bool = False) -> List[ScenarioSpec]:
@@ -250,18 +233,6 @@ def execute_cell(spec: ScenarioSpec) -> dict:
                 f"unknown macro workload {spec.workload!r}; "
                 f"rows: {', '.join(MACRO_BY_KEY)}")
         return measure_macro(config, spec.mechanism, seed=spec.seed)
-    if spec.kind == "shadow":
-        from repro.shadow import ShadowConfig, run_shadow
-
-        params = dict(spec.params)
-        report = run_shadow(ShadowConfig(
-            primary=spec.mechanism,
-            shadow=str(params["shadow"]),
-            workload=spec.workload,
-            seed=spec.seed,
-            budget=int(params.get("budget", 0)),
-            requests=int(params.get("requests", 24))))
-        return report.to_dict()
     if spec.kind == "loadtest":
         import json
 

@@ -23,94 +23,44 @@ calibrated once against the paper's *native* rows; every interposed number
 then emerges from the simulated cycles.  sqlite is runtime-oriented: the
 relative metric is the native/interposed cycle ratio of the transaction
 phase (again differential, startup excluded).
+
+Every measured run is one :func:`repro.runapi.run`: the rows below name a
+:data:`repro.runapi.WORKLOADS` entry and its parameters, and K23's
+offline logs come from runapi's one memoized offline pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.core import OfflinePhase
-from repro.core.offline import import_logs
 from repro.cpu.cycles import CLOCK_HZ
 from repro.interposers import REGISTRY
-from repro.kernel import Kernel
-from repro.workloads.clients import redis_benchmark, wrk
-from repro.workloads.lighttpd import LIGHTTPD_PORT, install_lighttpd
-from repro.workloads.nginx import NGINX_PORT, install_nginx
-from repro.workloads.redis import REDIS_PORT, install_redis
-from repro.workloads.sqlite import build_speedtest1, install_sqlite
-from repro.workloads.stress import build_stress, STRESS_PATH
+from repro.runapi import RunConfig, run
 
 #: Evaluation order, matching Table 5 — derived from the registry.
 #: Internal only; the public way to enumerate mechanisms is
-#: ``repro.interposers.registry.REGISTRY.names()``.  ``MECHANISMS`` and
-#: ``make_interposer`` remain importable from this module through the
-#: deprecation shim (module ``__getattr__``) below.
+#: ``repro.interposers.registry.REGISTRY.names()``.
 _MECHANISMS = REGISTRY.names()
 
 
-def _make_interposer(name: str, kernel: Kernel):
-    """Instantiate (and install) one evaluated mechanism by registry name."""
-    return REGISTRY.create(name, kernel)
-
-
-def needs_offline(name: str) -> bool:
-    return REGISTRY.needs_offline(name)
-
-
-#: Deprecated module attributes → (replacement hint, value factory).
-_DEPRECATED = {
-    "MECHANISMS": ("repro.api.REGISTRY.names()",
-                   lambda: _MECHANISMS),
-    "make_interposer": ("repro.api.REGISTRY.create(name, kernel)",
-                        lambda: _make_interposer),
-}
-
-#: Attributes already warned about — each shim warns once per process, so
-#: a hot loop over a legacy import doesn't flood stderr.
-_WARNED: set = set()
-
-
-def __getattr__(name: str):
-    """Deprecation shim (PEP 562): importing ``MECHANISMS`` or
-    ``make_interposer`` from this module still works but warns (once per
-    process per attribute) — :mod:`repro.api` is the supported surface."""
-    entry = _DEPRECATED.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    hint, factory = entry
-    if name not in _WARNED:
-        _WARNED.add(name)
-        import warnings
-
-        warnings.warn(f"importing {name!r} from repro.evaluation.runner is "
-                      f"deprecated; use {hint}", DeprecationWarning,
-                      stacklevel=2)
-    return factory()
+def _run(name: str, workload: str, seed: int, **fields):
+    """One run through :func:`repro.runapi.run`, with the layout
+    randomization the evaluation has always measured under."""
+    return run(RunConfig(mechanism=name, workload=workload, seed=seed,
+                         aslr=True, **fields))
 
 
 # ============================================================ microbenchmark
 
 
 def _micro_total_cycles(name: str, iterations: int, seed: int) -> int:
-    kernel = Kernel(seed=seed)
-    kernel.torn_window_probability = 0.0  # measure the surviving fast path
-    build_stress(iterations).register(kernel)
-    if needs_offline(name):
-        offline_kernel = Kernel(seed=seed + 1000)
-        build_stress(16).register(offline_kernel)
-        offline = OfflinePhase(offline_kernel)
-        offline.run(STRESS_PATH)
-        import_logs(kernel, offline.export())
-    _make_interposer(name, kernel)
-    process = kernel.spawn_process(STRESS_PATH)
-    before = kernel.cycles.cycles
-    kernel.run_process(process, max_steps=50_000_000)
-    if not process.exited or process.exit_status != 0:
+    result = _run(name, "stress", seed, max_steps=50_000_000,
+                  params=(("iterations", iterations),))
+    if result.exit_status != 0:
         raise RuntimeError(
-            f"micro run failed under {name}: exit={process.exit_status}")
-    return kernel.cycles.cycles - before
+            f"micro run failed under {name}: exit={result.exit_status}")
+    return result.cycles
 
 
 def measure_micro_cycles(name: str, iterations_low: int = 300,
@@ -141,9 +91,10 @@ class MacroConfig:
         key: short identifier.
         label: row label as printed in the table.
         kind: ``"throughput"`` (req/s) or ``"runtime"`` (sqlite).
-        installer: registers the workload; returns the binary path.
-        port / client_factory / connections / requests: load-generation.
-        workers: parallel server contexts for the capacity model.
+        workload: the :data:`repro.runapi.WORKLOADS` entry the row runs.
+        params: that workload's installer parameters; ``workers`` is
+            also the parallel server contexts of the capacity model.
+        requests: measured round trips (one connection per worker).
         efficiency: multi-worker scaling factor (calibrated, see module
             docstring).
         client_limit: same-machine client saturation in req/s, or None for
@@ -155,83 +106,81 @@ class MacroConfig:
     key: str
     label: str
     kind: str
-    installer: Callable[[Kernel], str]
-    port: int = 0
-    client_factory: Optional[Callable] = None
-    connections: int = 1
+    workload: str
+    params: Tuple[Tuple[str, int], ...] = ()
     requests: int = 240
-    workers: int = 1
     efficiency: float = 1.0
     client_limit: Optional[float] = None
     paper_native: Optional[float] = None
     paper_relative: Optional[Dict[str, float]] = None
 
+    @property
+    def workers(self) -> int:
+        return dict(self.params).get("workers", 1)
 
-def _http_config(key, label, installer_fn, port, workers, file_kb,
-                 efficiency, paper_native, paper_relative) -> MacroConfig:
+
+def _http_config(key, label, workload, workers, file_kb, efficiency,
+                 paper_native, paper_relative) -> MacroConfig:
     return MacroConfig(
-        key=key, label=label, kind="throughput",
-        installer=lambda kernel: installer_fn(kernel, workers, file_kb),
-        port=port, client_factory=wrk, connections=workers,
-        requests=80 * max(1, min(workers, 4)), workers=workers,
-        efficiency=efficiency, paper_native=paper_native,
-        paper_relative=paper_relative)
+        key=key, label=label, kind="throughput", workload=workload,
+        params=(("file_kb", file_kb), ("workers", workers)),
+        requests=80 * max(1, min(workers, 4)), efficiency=efficiency,
+        paper_native=paper_native, paper_relative=paper_relative)
 
 
 MACRO_CONFIGS: List[MacroConfig] = [
     _http_config(
-        "nginx-1w-0k", "nginx (1 worker, 0 KB)", install_nginx, NGINX_PORT,
-        1, 0, 1.0, 184762,
+        "nginx-1w-0k", "nginx (1 worker, 0 KB)",
+        "nginx", 1, 0, 1.0, 184762,
         {"zpoline-default": 99.05, "zpoline-ultra": 98.40,
          "lazypoline": 97.85, "K23-default": 97.94, "K23-ultra": 97.29,
          "K23-ultra+": 96.70, "SUD": 51.29}),
     _http_config(
-        "nginx-1w-4k", "nginx (1 worker, 4 KB)", install_nginx, NGINX_PORT,
-        1, 4, 1.0, 139709,
+        "nginx-1w-4k", "nginx (1 worker, 4 KB)",
+        "nginx", 1, 4, 1.0, 139709,
         {"zpoline-default": 96.73, "zpoline-ultra": 96.14,
          "lazypoline": 96.04, "K23-default": 96.24, "K23-ultra": 95.89,
          "K23-ultra+": 95.76, "SUD": 45.95}),
     _http_config(
-        "nginx-10w-0k", "nginx (10 workers, 0 KB)", install_nginx,
-        NGINX_PORT, 10, 0, 1.0, 1214421,
+        "nginx-10w-0k", "nginx (10 workers, 0 KB)",
+        "nginx", 10, 0, 1.0, 1214421,
         {"zpoline-default": 99.62, "zpoline-ultra": 99.34,
          "lazypoline": 98.79, "K23-default": 99.52, "K23-ultra": 98.39,
          "K23-ultra+": 97.83, "SUD": 53.93}),
     _http_config(
-        "nginx-10w-4k", "nginx (10 workers, 4 KB)", install_nginx,
-        NGINX_PORT, 10, 4, 1.0, 830426,
+        "nginx-10w-4k", "nginx (10 workers, 4 KB)",
+        "nginx", 10, 4, 1.0, 830426,
         {"zpoline-default": 98.83, "zpoline-ultra": 98.76,
          "lazypoline": 98.14, "K23-default": 98.59, "K23-ultra": 98.12,
          "K23-ultra+": 98.23, "SUD": 53.97}),
     _http_config(
-        "lighttpd-1w-0k", "lighttpd (1 worker, 0 KB)", install_lighttpd,
-        LIGHTTPD_PORT, 1, 0, 1.0, 189729,
+        "lighttpd-1w-0k", "lighttpd (1 worker, 0 KB)",
+        "lighttpd", 1, 0, 1.0, 189729,
         {"zpoline-default": 98.76, "zpoline-ultra": 99.48,
          "lazypoline": 98.23, "K23-default": 99.15, "K23-ultra": 97.89,
          "K23-ultra+": 97.50, "SUD": 61.25}),
     _http_config(
-        "lighttpd-1w-4k", "lighttpd (1 worker, 4 KB)", install_lighttpd,
-        LIGHTTPD_PORT, 1, 4, 1.0, 147927,
+        "lighttpd-1w-4k", "lighttpd (1 worker, 4 KB)",
+        "lighttpd", 1, 4, 1.0, 147927,
         {"zpoline-default": 99.28, "zpoline-ultra": 98.37,
          "lazypoline": 97.93, "K23-default": 98.56, "K23-ultra": 98.01,
          "K23-ultra+": 97.62, "SUD": 61.62}),
     _http_config(
-        "lighttpd-10w-0k", "lighttpd (10 workers, 0 KB)", install_lighttpd,
-        LIGHTTPD_PORT, 10, 0, 1.0, 1444141,
+        "lighttpd-10w-0k", "lighttpd (10 workers, 0 KB)",
+        "lighttpd", 10, 0, 1.0, 1444141,
         {"zpoline-default": 98.77, "zpoline-ultra": 98.60,
          "lazypoline": 98.18, "K23-default": 98.16, "K23-ultra": 98.36,
          "K23-ultra+": 97.69, "SUD": 59.83}),
     _http_config(
-        "lighttpd-10w-4k", "lighttpd (10 workers, 4 KB)", install_lighttpd,
-        LIGHTTPD_PORT, 10, 4, 1.0, 976989,
+        "lighttpd-10w-4k", "lighttpd (10 workers, 4 KB)",
+        "lighttpd", 10, 4, 1.0, 976989,
         {"zpoline-default": 99.17, "zpoline-ultra": 98.98,
          "lazypoline": 98.67, "K23-default": 99.01, "K23-ultra": 98.65,
          "K23-ultra+": 98.62, "SUD": 65.06}),
     MacroConfig(
         key="redis-1t", label="redis (1 I/O thread)", kind="throughput",
-        installer=lambda kernel: install_redis(kernel, 1),
-        port=REDIS_PORT, client_factory=redis_benchmark, connections=1,
-        requests=200, workers=1, efficiency=1.0, client_limit=174613.0,
+        workload="redis", params=(("workers", 1),), requests=200,
+        efficiency=1.0, client_limit=174613.0,
         paper_native=174613,
         paper_relative={"zpoline-default": 100.00, "zpoline-ultra": 99.93,
                         "lazypoline": 99.98, "K23-default": 100.21,
@@ -239,9 +188,8 @@ MACRO_CONFIGS: List[MacroConfig] = [
                         "SUD": 96.15}),
     MacroConfig(
         key="redis-6t", label="redis (6 I/O threads)", kind="throughput",
-        installer=lambda kernel: install_redis(kernel, 6),
-        port=REDIS_PORT, client_factory=redis_benchmark, connections=6,
-        requests=300, workers=6, efficiency=0.35, client_limit=398804.0,
+        workload="redis", params=(("workers", 6),), requests=300,
+        efficiency=0.35, client_limit=398804.0,
         paper_native=398804,
         paper_relative={"zpoline-default": 99.94, "zpoline-ultra": 99.80,
                         "lazypoline": 99.80, "K23-default": 99.97,
@@ -249,7 +197,7 @@ MACRO_CONFIGS: List[MacroConfig] = [
                         "SUD": 35.75}),
     MacroConfig(
         key="sqlite", label="sqlite (speedtest1, size 800)", kind="runtime",
-        installer=install_sqlite, paper_native=None,
+        workload="sqlite", paper_native=None,
         paper_relative={"zpoline-default": 98.12, "zpoline-ultra": 97.80,
                         "lazypoline": 97.31, "K23-default": 97.56,
                         "K23-ultra": 97.13, "K23-ultra+": 97.20,
@@ -259,75 +207,23 @@ MACRO_CONFIGS: List[MacroConfig] = [
 MACRO_BY_KEY = {config.key: config for config in MACRO_CONFIGS}
 
 
-def _offline_for(config: MacroConfig, seed: int) -> Dict[str, str]:
-    """Run the K23 offline phase for one workload configuration."""
-    kernel = Kernel(seed=seed)
-    path = config.installer(kernel)
-    offline = OfflinePhase(kernel)
-    if config.kind == "runtime":
-        offline.run(path, max_steps=20_000_000)
-    else:
-        def driver(kern, proc):
-            kern.run(max_steps=600_000)
-            generator = config.client_factory(kern, config.port,
-                                              config.connections)
-            generator.drive(4 * config.connections)
-            generator.close()
-
-        offline.run(path, driver=driver, max_steps=20_000_000)
-    return offline.export()
-
-
 def _measure_throughput_cpr(config: MacroConfig, name: str,
                             seed: int) -> float:
-    kernel = Kernel(seed=seed)
-    kernel.torn_window_probability = 0.0  # measure the surviving fast path
-    path = config.installer(kernel)
-    if needs_offline(name):
-        import_logs(kernel, _offline_for(config, seed + 500))
-    _make_interposer(name, kernel)
-    kernel.spawn_process(path)
-    kernel.run(max_steps=2_000_000)  # master forks; workers reach accept
-    generator = config.client_factory(kernel, config.port,
-                                      config.connections)
-    generator.warmup(2)
-    result = generator.drive(config.requests)
+    result = _run(name, config.workload, seed, params=config.params,
+                  requests=config.requests, connections=config.workers,
+                  warmup_rounds=2)
     if result.failures:
         raise RuntimeError(
             f"{config.key} under {name}: {result.failures} failed requests")
-    return result.cycles_per_request
+    return result.cycles / result.requests
 
 
 def _measure_runtime_cycles(name: str, transactions: int, seed: int) -> int:
-    kernel = Kernel(seed=seed)
-    kernel.torn_window_probability = 0.0  # measure the surviving fast path
-    install_sqlite(kernel)
-    build_speedtest1_with(transactions).register(kernel)
-    if needs_offline(name):
-        offline_kernel = Kernel(seed=seed + 500)
-        install_sqlite(offline_kernel)
-        offline = OfflinePhase(offline_kernel)
-        offline.run("/usr/bin/speedtest1", max_steps=20_000_000)
-        import_logs(kernel, offline.export())
-    _make_interposer(name, kernel)
-    process = kernel.spawn_process("/usr/bin/speedtest1")
-    before = kernel.cycles.cycles
-    kernel.run_process(process, max_steps=20_000_000)
-    if not process.exited or process.exit_status != 0:
-        raise RuntimeError(f"sqlite under {name}: exit={process.exit_status}")
-    return kernel.cycles.cycles - before
-
-
-def build_speedtest1_with(transactions: int):
-    """speedtest1 with a custom transaction count (differential timing)."""
-    import repro.workloads.sqlite as sqlite_mod
-
-    saved = sqlite_mod.TRANSACTIONS
-    sqlite_mod.TRANSACTIONS = transactions
-    try:
-        return sqlite_mod.build_speedtest1()
-    finally:
-        sqlite_mod.TRANSACTIONS = saved
+    result = _run(name, "sqlite", seed, max_steps=20_000_000,
+                  params=(("transactions", transactions),))
+    if result.exit_status != 0:
+        raise RuntimeError(f"sqlite under {name}: exit={result.exit_status}")
+    return result.cycles
 
 
 def measure_macro(config: MacroConfig, name: str, seed: int = 30) -> Dict:

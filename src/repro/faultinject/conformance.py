@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.faultinject.engine import FaultInjector
 from repro.faultinject.schedule import (FaultConfig, FaultSchedule,
                                         build_schedule)
 from repro.kernel.syscalls import Errno, Nr
-from repro.workloads.coreutils import install_coreutils
-from repro.workloads.stress import STRESS_PATH, build_stress
 
 #: Conformance cells run this many stress iterations (enough syscall
 #: occurrences for every schedule channel to land; small enough for CI).
@@ -57,29 +55,6 @@ _TIMER_NRS = frozenset({Nr.clock_gettime, Nr.gettimeofday})
 
 #: Paths whose contents count as application filesystem side effects.
 _FS_ROOTS = ("/tmp", "/home/user")
-
-
-def _install_stress(kernel) -> str:
-    build_stress(STRESS_ITERATIONS).register(kernel)
-    return STRESS_PATH
-
-
-def _coreutil(path: str) -> Callable:
-    def install(kernel) -> str:
-        install_coreutils(kernel)
-        return path
-    return install
-
-
-#: Conformance workloads: name → installer(kernel) -> program path.
-WORKLOADS: Dict[str, Callable] = {
-    "stress": _install_stress,
-    "pwd": _coreutil("/usr/bin/pwd"),
-    "touch": _coreutil("/usr/bin/touch"),
-    "ls": _coreutil("/usr/bin/ls"),
-    "cat": _coreutil("/usr/bin/cat"),
-    "clear": _coreutil("/usr/bin/clear"),
-}
 
 
 def conformance_config() -> FaultConfig:
@@ -245,25 +220,17 @@ def _observe(kernel, process, mechanism: str, workload: str, seed: int,
     )
 
 
-#: Per-workload offline-phase site logs (K23 variants), computed once and
-#: re-imported into every cell kernel — the offline phase is faultless and
-#: mechanism-independent, so recomputing it per cell would only cost time.
-_OFFLINE_CACHE: Dict[str, Dict] = {}
+def check_workload(workload: str) -> None:
+    """Raise ValueError unless *workload* is a batch
+    :data:`repro.runapi.WORKLOADS` entry (a cell runs one process to
+    exit and observes it)."""
+    from repro.runapi import WORKLOADS
 
-
-def _offline_logs(workload: str) -> Dict:
-    logs = _OFFLINE_CACHE.get(workload)
-    if logs is None:
-        from repro.core import OfflinePhase
-        from repro.kernel import Kernel
-
-        kernel = Kernel(seed=KERNEL_SEED + 1000, aslr=False)
-        path = WORKLOADS[workload](kernel)
-        offline = OfflinePhase(kernel)
-        offline.run(path)
-        logs = offline.export()
-        _OFFLINE_CACHE[workload] = logs
-    return logs
+    valid = [name for name, spec in WORKLOADS.items()
+             if spec.kind == "batch"]
+    if workload not in valid:
+        raise ValueError(f"unknown conformance workload {workload!r}; "
+                         f"valid: {', '.join(valid)}")
 
 
 def run_cell(mechanism: str, workload: str, seed: int,
@@ -273,46 +240,33 @@ def run_cell(mechanism: str, workload: str, seed: int,
              trace_sink=None) -> Observation:
     """Run one conformance cell and snapshot its observable state.
 
-    ``trace_sink`` (any bus sink, typically a
-    :class:`~repro.observability.export.TraceSink`) rides along on the
-    cell's bus; the bus is observe-only, so the Observation is identical
-    with or without it.
+    *workload* is any batch :data:`repro.runapi.WORKLOADS` entry (stress
+    runs :data:`STRESS_ITERATIONS` iterations).  ``trace_sink`` (any bus
+    sink, typically a :class:`~repro.observability.export.TraceSink`)
+    rides along on the cell's bus; the bus is observe-only, so the
+    Observation is identical with or without it.
     """
-    from repro.interposers.registry import REGISTRY
-    from repro.kernel import Kernel
+    from repro.observability.sinks import CounterSink
+    from repro.runapi import RunConfig, prepare
 
-    if workload not in WORKLOADS:
-        raise ValueError(f"unknown conformance workload {workload!r}; "
-                         f"valid: {', '.join(WORKLOADS)}")
-    kernel = Kernel(seed=KERNEL_SEED, aslr=False)
+    check_workload(workload)
     # Counters ride along on every cell: the bus is observe-only, so an
     # attached sink cannot perturb the run (the lockstep property tests
     # pin this), and the snapshots feed the matrix artifact's metadata.
-    from repro.observability.sinks import CounterSink
-
     sink = CounterSink()
-    kernel.bus.attach(sink)
-    if trace_sink is not None:
-        kernel.bus.attach(trace_sink)
-    if block_cache is not None:
-        kernel.block_cache_enabled = block_cache
-    # Measure the surviving fast path deterministically, as the evaluation
-    # pipeline does — fault variety comes from the schedule, not the torn
-    # window's own dice.
-    kernel.torn_window_probability = 0.0
-    path = WORKLOADS[workload](kernel)
-    if REGISTRY.needs_offline(mechanism):
-        from repro.core.offline import import_logs
-
-        import_logs(kernel, _offline_logs(workload))
-    REGISTRY.create(mechanism, kernel)
+    sinks = (sink,) if trace_sink is None else (sink, trace_sink)
+    params = (("iterations", STRESS_ITERATIONS),) \
+        if workload == "stress" else ()
     schedule = build_schedule(seed, config or conformance_config())
-    injector = FaultInjector(kernel, schedule)
-    process = kernel.spawn_process(path)
-    kernel.run_process(process, max_steps=max_steps)
+    prepared = prepare(RunConfig(
+        mechanism=mechanism, workload=workload, seed=KERNEL_SEED,
+        schedule=schedule, sinks=sinks, params=params,
+        block_cache=block_cache, max_steps=max_steps))
+    prepared.execute()
+    process = prepared.process
     if not process.exited:
         raise RuntimeError(
             f"conformance cell did not finish: {mechanism}/{workload}"
             f"/seed={seed} ({max_steps} steps)")
-    return _observe(kernel, process, mechanism, workload, seed, injector,
-                    schedule, sink=sink)
+    return _observe(prepared.kernel, process, mechanism, workload, seed,
+                    prepared.injector, schedule, sink=sink)

@@ -1,50 +1,61 @@
 """One builder for simulator runs: ``RunConfig`` → :func:`run` → ``RunResult``.
 
-Every harness in the repo — the evaluation pipeline, the conformance
-cells, the shadow dark-launch harness, ad-hoc notebooks — stands up the
-same machine: a seeded :class:`~repro.kernel.Kernel`, a workload
-installed on it, an interposition mechanism from the registry, optional
-offline-phase logs (K23), optional seeded fault injection, and a set of
-observe-only bus sinks.  Historically each caller re-assembled that
-recipe from ``evaluation.runner`` internals; this module makes it one
-frozen config object and two functions:
+Every harness in the repo stands up the same machine: a seeded
+:class:`~repro.kernel.Kernel`, a workload installed on it, an
+interposition mechanism from the registry, optional offline-phase logs
+(K23), optional seeded fault injection, and a set of observe-only bus
+sinks.  This module is the only code that boots one — the evaluation
+runner, the cycle decomposition, Figure 4, the conformance cells, the
+shadow harness, the traffic fleet and ``simtrace`` all come through
+here — so there is one workload table (:data:`WORKLOADS`) and one
+memoized K23 offline pass.  It is one frozen config object and two
+functions:
 
     from repro.api import RunConfig, run
 
     result = run(RunConfig(mechanism="K23-ultra", workload="nginx",
                            seed=7))
-    result.exit_status, result.counters, result.verdicts
+    result.exit_status, result.cycles, result.verdicts
 
 :func:`prepare` is the two-phase variant: it returns a
 :class:`PreparedRun` with the kernel built and the mechanism installed
 but nothing executed, so lockstep harnesses (the shadow mirror) can
 drive two prepared runs request-by-request themselves.
 
-Workloads come in two kinds.  **batch** workloads (``stress`` and the
-coreutils) spawn one process and run it to exit; **server** workloads
-(``nginx``, ``lighttpd``, ``redis``) boot the server to its accept
-loop and drive it with the in-repo wrk/redis-benchmark stand-ins.
-Mechanism names are resolved case-insensitively against the registry
-(``"k23-ultra"`` → ``"K23-ultra"``), so CLI surfaces need no separate
-canonicalization.
+Workloads come in two kinds.  **batch** workloads (``stress``,
+``sqlite`` and the coreutils) spawn one process and run it to exit;
+**server** workloads (``nginx``, ``lighttpd``, ``redis``) boot the
+server to its accept loop and drive it with the in-repo
+wrk/redis-benchmark stand-ins.  Mechanism names are resolved
+case-insensitively against the registry (``"k23-ultra"`` →
+``"K23-ultra"``), so CLI surfaces need no separate canonicalization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.faultinject.engine import FaultInjector
-from repro.faultinject.schedule import FaultSchedule
 from repro.interposers.registry import REGISTRY
-from repro.observability.analyzers import Analyzer, AnalyzerSuite, PitfallVerdict
 from repro.observability.sinks import CounterSink, Sink
-from repro.traffic.config import TrafficConfig
 from repro.workloads.clients import (HTTP_REQUEST, REDIS_GET,
                                      KeepAliveSource)
+from repro.workloads.coreutils import install_coreutils
+from repro.workloads.lighttpd import LIGHTTPD_PORT, install_lighttpd
+from repro.workloads.nginx import NGINX_PORT, install_nginx
+from repro.workloads.redis import REDIS_PORT, install_redis
+from repro.workloads.sqlite import TRANSACTIONS, install_sqlite
+from repro.workloads.stress import STRESS_PATH, build_stress
+
+if TYPE_CHECKING:  # imported where used: together ~50 ms to import
+    from repro.faultinject.engine import FaultInjector
+    from repro.faultinject.schedule import FaultSchedule
+    from repro.observability.analyzers import (Analyzer, AnalyzerSuite,
+                                               PitfallVerdict)
+    from repro.traffic.config import TrafficConfig
 
 #: Steps the kernel runs after spawning a server so the master forks and
-#: every worker reaches its accept loop (mirrors the evaluation runner).
+#: every worker reaches its accept loop.
 SERVER_BOOT_STEPS = 2_000_000
 
 
@@ -73,40 +84,34 @@ class WorkloadSpec:
 
 
 def _install_stress(kernel, params: Dict[str, int]) -> str:
-    from repro.workloads.stress import STRESS_PATH, build_stress
-
     build_stress(params.get("iterations", 60)).register(kernel)
     return STRESS_PATH
 
 
+def _install_sqlite(kernel, params: Dict[str, int]) -> str:
+    return install_sqlite(kernel, params.get("transactions", TRANSACTIONS))
+
+
 def _coreutil(path: str) -> Callable[..., str]:
     def install(kernel, params: Dict[str, int]) -> str:
-        from repro.workloads.coreutils import install_coreutils
-
         install_coreutils(kernel)
         return path
     return install
 
 
 def _install_nginx(kernel, params: Dict[str, int]) -> str:
-    from repro.workloads.nginx import install_nginx
-
     return install_nginx(kernel, workers=params.get("workers", 1),
                          file_size_kb=params.get("file_kb", 0),
                          multiconn=bool(params.get("multiconn", 0)))
 
 
 def _install_lighttpd(kernel, params: Dict[str, int]) -> str:
-    from repro.workloads.lighttpd import install_lighttpd
-
     return install_lighttpd(kernel, workers=params.get("workers", 1),
                             file_size_kb=params.get("file_kb", 0),
                             multiconn=bool(params.get("multiconn", 0)))
 
 
 def _install_redis(kernel, params: Dict[str, int]) -> str:
-    from repro.workloads.redis import install_redis
-
     # "workers" is the fleet-wide knob (the traffic engine speaks one
     # vocabulary across workloads); redis calls the same thing io_threads.
     io_threads = params.get("io_threads", params.get("workers", 1))
@@ -114,29 +119,21 @@ def _install_redis(kernel, params: Dict[str, int]) -> str:
                          multiconn=bool(params.get("multiconn", 0)))
 
 
-def _server_ports():
-    from repro.workloads.lighttpd import LIGHTTPD_PORT
-    from repro.workloads.nginx import NGINX_PORT
-    from repro.workloads.redis import REDIS_PORT
-
-    return NGINX_PORT, LIGHTTPD_PORT, REDIS_PORT
-
-_NGINX_PORT, _LIGHTTPD_PORT, _REDIS_PORT = _server_ports()
-
 #: Every workload :func:`run` understands, batch and server alike.
 WORKLOADS: Dict[str, WorkloadSpec] = {
     "stress": WorkloadSpec("stress", "batch", _install_stress),
+    "sqlite": WorkloadSpec("sqlite", "batch", _install_sqlite),
     "pwd": WorkloadSpec("pwd", "batch", _coreutil("/usr/bin/pwd")),
     "touch": WorkloadSpec("touch", "batch", _coreutil("/usr/bin/touch")),
     "ls": WorkloadSpec("ls", "batch", _coreutil("/usr/bin/ls")),
     "cat": WorkloadSpec("cat", "batch", _coreutil("/usr/bin/cat")),
     "clear": WorkloadSpec("clear", "batch", _coreutil("/usr/bin/clear")),
     "nginx": WorkloadSpec("nginx", "server", _install_nginx,
-                          port=_NGINX_PORT, payload=HTTP_REQUEST),
+                          port=NGINX_PORT, payload=HTTP_REQUEST),
     "lighttpd": WorkloadSpec("lighttpd", "server", _install_lighttpd,
-                             port=_LIGHTTPD_PORT, payload=HTTP_REQUEST),
+                             port=LIGHTTPD_PORT, payload=HTTP_REQUEST),
     "redis": WorkloadSpec("redis", "server", _install_redis,
-                          port=_REDIS_PORT, payload=REDIS_GET),
+                          port=REDIS_PORT, payload=REDIS_GET),
 }
 
 
@@ -158,9 +155,10 @@ class RunConfig:
             :class:`~repro.faultinject.schedule.FaultSchedule`; when set,
             a :class:`~repro.faultinject.engine.FaultInjector` is armed
             before execution.
-        sinks: extra observe-only bus sinks to attach (a
-            :class:`CounterSink` is always attached and feeds
-            ``RunResult.counters``).
+        sinks: observe-only bus sinks to attach; pass a
+            :class:`CounterSink` here to get ``RunResult.counters`` (no
+            sink is attached by default — an idle bus keeps the run
+            fast).
         analyzers: streaming analyzers; they are wrapped in one
             :class:`AnalyzerSuite` whose finished verdicts become
             ``RunResult.verdicts``.
@@ -169,7 +167,8 @@ class RunConfig:
         requests / connections / warmup_rounds: load-generation knobs
             for server workloads (ignored for batch ones).
         params: workload installer parameters as a sorted tuple of
-            pairs, e.g. ``(("iterations", 300),)`` for stress or
+            pairs, e.g. ``(("iterations", 300),)`` for stress,
+            ``(("transactions", 20),)`` for sqlite or
             ``(("workers", 10),)`` for nginx — tuple-of-pairs keeps the
             config hashable.
         aslr: address-space layout randomization (off by default: the
@@ -229,10 +228,12 @@ class RunConfig:
                 or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, "
                              f"got {self.seed!r}")
-        if self.schedule is not None \
-                and not isinstance(self.schedule, FaultSchedule):
-            raise ValueError("schedule must be a FaultSchedule "
-                             "(build one with repro.api.build_schedule)")
+        if self.schedule is not None:
+            from repro.faultinject.schedule import FaultSchedule
+
+            if not isinstance(self.schedule, FaultSchedule):
+                raise ValueError("schedule must be a FaultSchedule "
+                                 "(build one with repro.api.build_schedule)")
         if self.requests < 1:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
         if self.connections is not None and self.connections < 1:
@@ -250,6 +251,8 @@ class RunConfig:
             raise ValueError(f"checkpoint_interval must be >= 1, "
                              f"got {self.checkpoint_interval}")
         if self.traffic is not None:
+            from repro.traffic.config import TrafficConfig
+
             if isinstance(self.traffic, dict):
                 object.__setattr__(self, "traffic",
                                    TrafficConfig.from_dict(self.traffic))
@@ -281,9 +284,10 @@ class RunResult:
     ``exit_status`` is the batch process's exit status (None for server
     workloads, which never exit); ``requests``/``failures`` are the
     load-generation tallies (0 for batch runs); ``counters`` is the
-    always-attached :class:`CounterSink` snapshot; ``verdicts`` are the
-    finished analyzer findings; ``trace_path`` names the written
-    Perfetto trace, if one was requested; ``slo`` is the merged
+    snapshot of the :class:`CounterSink` passed in ``sinks`` (empty when
+    none was); ``verdicts`` are the finished analyzer findings;
+    ``trace_path`` names the written Perfetto trace, if one was
+    requested; ``slo`` is the merged
     :class:`~repro.traffic.slo.SLOReport` for ``traffic=`` runs (None
     otherwise — for traffic runs ``requests``/``failures`` echo the
     report's completed/shed totals).
@@ -312,13 +316,17 @@ class RunResult:
 # ----------------------------------------------------------- offline phase
 
 
-#: (workload, params, offline seed) → exported K23 offline logs.  The
-#: offline phase is faultless and mechanism-independent, so shadow pairs
-#: and repeated runs re-import rather than recompute.
+#: (workload, params, offline seed, aslr) → exported K23 offline logs.
+#: The offline phase is faultless and mechanism-independent, so the three
+#: K23 variants, shadow pairs and repeated runs re-import rather than
+#: recompute.  This is the repo's only offline memo.
 _OFFLINE_CACHE: Dict[Tuple, Dict] = {}
 
 
 def _offline_logs(config: RunConfig) -> Dict:
+    """K23's offline logs for *config*'s workload, recorded on a second
+    kernel seeded ``seed + 1000``.  The logs are (region, offset) pairs
+    (§5.1), so they import into any same-workload kernel."""
     offline_seed = config.seed + 1000
     key = (config.workload, config.params, offline_seed, config.aslr)
     logs = _OFFLINE_CACHE.get(key)
@@ -354,15 +362,16 @@ class PreparedRun:
     """A built-but-unexecuted run: kernel up, mechanism installed.
 
     :meth:`execute` finishes the standard way; lockstep harnesses
-    instead call :meth:`boot` + :meth:`load_generator` (server) or
+    instead call :meth:`boot` + :meth:`traffic_source` (server) or
     :meth:`spawn` (batch) and drive the kernel themselves, then
-    :meth:`finish` to collect the :class:`RunResult`.
+    :meth:`finish` to collect the :class:`RunResult`.  ``interposer`` is
+    the installed mechanism (tools attach hooks to it).
     """
 
     config: RunConfig
     kernel: object
     path: str
-    counters: CounterSink
+    interposer: object
     suite: Optional[AnalyzerSuite] = None
     trace_sink: Optional[object] = None
     injector: Optional[FaultInjector] = None
@@ -392,10 +401,6 @@ class PreparedRun:
         connections = self.config.connections or spec.connections
         return KeepAliveSource(self.kernel, spec.port, connections,
                                spec.payload)
-
-    def load_generator(self) -> KeepAliveSource:
-        """Legacy alias for :meth:`traffic_source`."""
-        return self.traffic_source()
 
     def execute(self) -> RunResult:
         """Run to completion the standard way and collect the result."""
@@ -433,6 +438,8 @@ class PreparedRun:
 
             trace_path = str(write_chrome_trace(self.trace_sink,
                                                 self.config.trace_path))
+        counters = next((sink.snapshot() for sink in self.config.sinks
+                         if isinstance(sink, CounterSink)), {})
         return RunResult(
             mechanism=self.config.mechanism,
             workload=self.config.workload,
@@ -441,7 +448,7 @@ class PreparedRun:
             cycles=cycles,
             requests=requests,
             failures=failures,
-            counters=self.counters.snapshot(),
+            counters=counters,
             verdicts=verdicts,
             trace_path=trace_path,
         )
@@ -459,10 +466,10 @@ def prepare(config: RunConfig) -> PreparedRun:
     kernel.torn_window_probability = 0.0
     if config.block_cache is not None:
         kernel.block_cache_enabled = config.block_cache
-    counters = CounterSink()
-    kernel.bus.attach(counters)
     suite = None
     if config.analyzers:
+        from repro.observability.analyzers import AnalyzerSuite
+
         suite = AnalyzerSuite(config.analyzers)
         kernel.bus.attach(suite)
     for sink in config.sinks:
@@ -479,9 +486,11 @@ def prepare(config: RunConfig) -> PreparedRun:
         from repro.core.offline import import_logs
 
         import_logs(kernel, _offline_logs(config))
-    REGISTRY.create(config.mechanism, kernel)
+    interposer = REGISTRY.create(config.mechanism, kernel)
     injector = None
     if config.schedule is not None:
+        from repro.faultinject.engine import FaultInjector
+
         injector = FaultInjector(kernel, config.schedule)
     recorder = None
     if config.record is not None:
@@ -492,7 +501,7 @@ def prepare(config: RunConfig) -> PreparedRun:
         kernel.bus.attach(recorder)
         kernel.recorder = recorder
     return PreparedRun(config=config, kernel=kernel, path=path,
-                       counters=counters, suite=suite,
+                       interposer=interposer, suite=suite,
                        trace_sink=trace_sink, injector=injector,
                        recorder=recorder)
 

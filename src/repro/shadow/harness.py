@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.api import (REGISTRY, DivergenceSink, FaultConfig,
+from repro.api import (REGISTRY, CounterSink, DivergenceSink, FaultConfig,
                        LatencyAnalyzer, PreparedRun, RunConfig,
                        ShadowDivergence, build_schedule, prepare)
 from repro.kernel.syscalls import Errno, Nr
@@ -167,14 +167,15 @@ def shadow_fault_config() -> FaultConfig:
     )
 
 
-def _side_config(config: ShadowConfig, mechanism: str,
-                 side: str) -> RunConfig:
+def _side_config(config: ShadowConfig, mechanism: str, side: str,
+                 counters: CounterSink) -> RunConfig:
     schedule = None
     if config.fault_seed is not None and config.fault_side in ("both", side):
         schedule = build_schedule(config.fault_seed, shadow_fault_config())
     return RunConfig(
         mechanism=mechanism, workload=config.workload, seed=config.seed,
-        schedule=schedule, analyzers=(LatencyAnalyzer(),),
+        schedule=schedule, sinks=(counters,),
+        analyzers=(LatencyAnalyzer(),),
         requests=config.requests, connections=config.connections,
         warmup_rounds=config.warmup_rounds, params=config.params,
         block_cache=config.block_cache, max_steps=config.max_steps)
@@ -216,10 +217,12 @@ class _ShadowRun:
 
     def __init__(self, config: ShadowConfig):
         self.config = config
-        self.primary: PreparedRun = prepare(
-            _side_config(config, config.primary, "primary"))
-        self.shadow: PreparedRun = prepare(
-            _side_config(config, config.shadow, "shadow"))
+        self.primary_counters = CounterSink()
+        self.shadow_counters = CounterSink()
+        self.primary: PreparedRun = prepare(_side_config(
+            config, config.primary, "primary", self.primary_counters))
+        self.shadow: PreparedRun = prepare(_side_config(
+            config, config.shadow, "shadow", self.shadow_counters))
         # Perfetto recording rides along on both sides so a divergence
         # bundle can always include the full event-level story.
         self.primary_trace = TraceSink(mechanism=config.primary,
@@ -325,8 +328,8 @@ class _ShadowRun:
             verdict=verdict_for(count, self.config.budget),
             divergences=self.sink.snapshot(),
             latency_delta=latency_deltas(primary_latency, shadow_latency),
-            counters={"primary": self.primary.counters.snapshot(),
-                      "shadow": self.shadow.counters.snapshot()},
+            counters={"primary": self.primary_counters.snapshot(),
+                      "shadow": self.shadow_counters.snapshot()},
             analyzer_reports={"primary": self.primary.suite.report(),
                               "shadow": self.shadow.suite.report()},
             flight_path=self.flight_path)

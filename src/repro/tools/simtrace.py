@@ -6,8 +6,9 @@ Usage::
                                    [--seed N] [--trace-out FILE.json]
                                    [--jsonl-out FILE.jsonl]
 
-``<program>`` is one of the bundled workloads (pwd, touch, ls, cat, clear)
-or any absolute path previously registered by a setup module.
+``<program>`` is one of the bundled coreutils (pwd, touch, ls, cat, clear),
+by name or ``/usr/bin`` path; it runs through :func:`repro.runapi.prepare`
+like every other harness.
 ``--interposer`` is any Table 5 mechanism name (default: K23-ultra); K23
 variants automatically run their offline phase first.  ``--trace-out``
 additionally records the run through the instrumentation bus and writes a
@@ -23,22 +24,18 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core import OfflinePhase
-from repro.core.offline import import_logs
-from repro.evaluation.runner import needs_offline
 from repro.interposers.hooks import CountingHook, TracingHook, chain
 from repro.interposers.registry import REGISTRY
-from repro.kernel import Kernel
-from repro.workloads.coreutils import install_coreutils
+from repro.runapi import RunConfig, prepare
 
 COREUTILS = {"pwd", "touch", "ls", "cat", "clear"}
 
 
 def _resolve_program(name: str) -> str:
-    if name.lstrip("/").rsplit("/", 1)[-1] in COREUTILS:
-        return f"/usr/bin/{name.rsplit('/', 1)[-1]}"
-    if name.startswith("/"):
-        return name
+    """The coreutil workload *name* (or a path ending in it) names."""
+    base = name.rsplit("/", 1)[-1]
+    if base in COREUTILS:
+        return base
     raise SystemExit(f"unknown program {name!r}; "
                      f"bundled: {', '.join(sorted(COREUTILS))}")
 
@@ -47,39 +44,23 @@ def trace(program: str, mechanism: str = "K23-ultra", seed: int = 1,
           summary: bool = False, out=None, trace_out: Optional[str] = None,
           jsonl_out: Optional[str] = None):
     out = out or sys.stdout
-    path = _resolve_program(program)
-
-    kernel = Kernel(seed=seed)
-    trace_sink = None
-    jsonl_sink = None
+    workload = _resolve_program(program)
+    sinks = ()
     jsonl_file = None
-    if trace_out is not None:
-        from repro.observability.export import TraceSink
-
-        trace_sink = TraceSink(mechanism=mechanism,
-                               workload=path.rsplit("/", 1)[-1])
-        kernel.bus.attach(trace_sink)
     if jsonl_out is not None:
         from repro.observability.sinks import StreamingJSONLSink
 
         jsonl_file = open(jsonl_out, "w")
-        jsonl_sink = StreamingJSONLSink(jsonl_file)
-        kernel.bus.attach(jsonl_sink)
+        sinks = (StreamingJSONLSink(jsonl_file),)
+    prepared = prepare(RunConfig(mechanism=mechanism, workload=workload,
+                                 seed=seed, aslr=True, sinks=sinks,
+                                 trace_path=trace_out))
+    kernel, interposer = prepared.kernel, prepared.interposer
     tracer = TracingHook(bus=kernel.bus)
     counter = CountingHook(bus=kernel.bus)
-    hook = chain(tracer, counter)
-
-    install_coreutils(kernel)
-    if needs_offline(mechanism):
-        offline_kernel = Kernel(seed=seed + 1)
-        install_coreutils(offline_kernel)
-        offline = OfflinePhase(offline_kernel)
-        offline.run(path)
-        import_logs(kernel, offline.export())
-    interposer = REGISTRY.create(mechanism, kernel)
-    interposer.hook = hook
-    process = kernel.spawn_process(path)
-    kernel.run_process(process)
+    interposer.hook = chain(tracer, counter)
+    result = prepared.execute()
+    process = prepared.process
 
     if not summary:
         for line in tracer.formatted():
@@ -91,15 +72,12 @@ def trace(program: str, mechanism: str = "K23-ultra", seed: int = 1,
           f"{len(missed)} missed, {len(vdso)} vDSO calls unseen "
           f"(mechanism: {mechanism})", file=out)
     print(f"exit status: {process.exit_status}", file=out)
-    if trace_sink is not None:
-        from repro.observability.export import write_chrome_trace
-
-        written = write_chrome_trace(trace_sink, trace_out)
-        print(f"trace: {written} "
-              f"({len(trace_sink.trace_events)} events; open in Perfetto)",
-              file=out)
-    if jsonl_sink is not None:
-        jsonl_sink.close()
+    if result.trace_path is not None:
+        print(f"trace: {result.trace_path} "
+              f"({len(prepared.trace_sink.trace_events)} events; "
+              f"open in Perfetto)", file=out)
+    if jsonl_file is not None:
+        sinks[0].close()
         jsonl_file.close()
         print(f"jsonl trace: {jsonl_out}", file=out)
     return process, tracer, counter, missed

@@ -19,7 +19,8 @@ SQLITE_PATH = "/usr/bin/speedtest1"
 DB_PATH = "/var/db/speedtest.db"
 WAL_PATH = "/var/db/speedtest.db-wal"
 
-#: Transactions per run (scaled-down stand-in for ``-size 800``).
+#: Default transactions per run (scaled-down stand-in for ``-size 800``);
+#: Table 6 times 20 and 120 and subtracts, cancelling startup.
 TRANSACTIONS = 120
 SYNC_EVERY = 8
 
@@ -31,7 +32,7 @@ SQLITE_TABLE2_SITES = 20
 INLINE_PAD = 11
 
 
-def build_speedtest1() -> ProgramBuilder:
+def build_speedtest1(transactions: int = TRANSACTIONS) -> ProgramBuilder:
     builder = ProgramBuilder(SQLITE_PATH, stub_profile=34)
     builder.string("db", DB_PATH)
     builder.string("wal", WAL_PATH)
@@ -50,7 +51,7 @@ def build_speedtest1() -> ProgramBuilder:
     builder.libc("newfstatat", (1 << 64) - 100, data_ref("db"), 0, 0)
 
     asm.mov_ri(Reg.R12, SYNC_EVERY)  # countdown to the next WAL sync
-    builder.loop(TRANSACTIONS, counter=Reg.R15)
+    builder.loop(transactions, counter=Reg.R15)
     # Read three b-tree pages (interior, leaf, overflow).
     builder.libc("lseek", Reg.R14, 0, 0)
     builder.libc("read", Reg.R14, data_ref("page"), 4096)
@@ -76,9 +77,9 @@ def build_speedtest1() -> ProgramBuilder:
     return builder
 
 
-def install_sqlite(kernel) -> str:
+def install_sqlite(kernel, transactions: int = TRANSACTIONS) -> str:
     kernel.vfs.mkdir("/var/db", exist_ok=True)
     kernel.vfs.create(DB_PATH, b"\x00" * 8192)
     kernel.vfs.create(WAL_PATH, b"")
-    build_speedtest1().register(kernel)
+    build_speedtest1(transactions).register(kernel)
     return SQLITE_PATH

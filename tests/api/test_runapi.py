@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.api import (AnalyzerSuite, FaultSchedule, LatencyAnalyzer,
+from repro.api import (AnalyzerSuite, CounterSink, FaultSchedule,
+                       KeepAliveSource, LatencyAnalyzer,
                        PitfallVerdict, RunConfig, RunResult, build_schedule,
                        prepare, run)
 
@@ -70,7 +71,8 @@ class TestRunConfigRoundTrip:
 class TestRun:
     def test_batch_run_result_shape(self):
         result = run(RunConfig("zpoline-default", "stress", seed=3,
-                               params=(("iterations", 10),)))
+                               params=(("iterations", 10),),
+                               sinks=(CounterSink(),)))
         assert isinstance(result, RunResult)
         assert result.exit_status == 0
         assert result.ok
@@ -112,6 +114,20 @@ class TestRun:
         config = RunConfig("zpoline-default", "stress", seed=3,
                            params=(("iterations", 10),))
         assert run(config).cycles == run(config).cycles
+
+    def test_counters_only_with_a_counter_sink(self):
+        config = RunConfig("native", "stress", seed=3,
+                           params=(("iterations", 10),))
+        assert run(config).counters == {}
+        counted = run(dataclasses.replace(config, sinks=(CounterSink(),)))
+        assert counted.counters["total_cycles"] > 0
+        assert counted.cycles == run(config).cycles
+
+    def test_prepared_run_traffic_source_is_keepalive(self):
+        prepared = prepare(RunConfig(mechanism="native", workload="redis",
+                                     seed=5))
+        prepared.boot()
+        assert type(prepared.traffic_source()) is KeepAliveSource
 
     def test_suite_wraps_analyzers(self):
         prepared = prepare(RunConfig("native", "stress",

@@ -12,12 +12,12 @@ import pytest
 from repro.cpu.cycles import DEFAULT_COSTS, Event
 from repro.evaluation import experiments
 from repro.evaluation import pipeline as pipe
+from repro.evaluation import cache as cache_mod
 from repro.evaluation.cache import (
     MISS,
     NullCache,
     ResultCache,
     cell_key,
-    module_source_digest,
     source_digest,
 )
 from repro.evaluation.tables import render_table5
@@ -143,21 +143,18 @@ class TestMemoization:
 
 
 class TestCacheKeys:
-    def test_constant_change_invalidates_exactly_affected_cells(
-            self, monkeypatch):
-        """Bumping HASHSET_CHECK must re-key the K23-ultra cells (their
-        entry check performs the probe) and nothing else."""
+    def test_any_constant_change_invalidates_every_cell(self, monkeypatch):
+        """The whole cost table is in every key: bumping HASHSET_CHECK
+        re-keys the cells that never probe the hash set too."""
+        names = ("native", "zpoline-default", "K23-default", "K23-ultra")
         before = {name: cell_key("micro", name, "syscall-stress", 20)
-                  for name in ("zpoline-default", "K23-default",
-                               "K23-ultra", "K23-ultra+")}
+                  for name in names}
         monkeypatch.setitem(DEFAULT_COSTS, Event.HASHSET_CHECK,
                             DEFAULT_COSTS[Event.HASHSET_CHECK] + 1)
         after = {name: cell_key("micro", name, "syscall-stress", 20)
-                 for name in before}
-        assert after["K23-ultra"] != before["K23-ultra"]
-        assert after["K23-ultra+"] != before["K23-ultra+"]
-        assert after["zpoline-default"] == before["zpoline-default"]
-        assert after["K23-default"] == before["K23-default"]
+                 for name in names}
+        for name in names:
+            assert after[name] != before[name]
 
     def test_baseline_constant_change_invalidates_every_cell(
             self, monkeypatch):
@@ -171,20 +168,57 @@ class TestCacheKeys:
         for name in names:
             assert after[name] != before[name]
 
-    def test_comment_only_edit_does_not_change_source_digest(self):
-        base = "def f(x):\n    return x + 1\n"
-        commented = ("# a new comment explaining f\n"
-                     "def f(x):\n"
-                     "    return x + 1  # trailing note\n")
-        semantic = "def f(x):\n    return x + 2\n"
-        assert source_digest(base) == source_digest(commented)
-        assert source_digest(base) != source_digest(semantic)
+    @pytest.mark.parametrize("module", ["core/libk23.py", "kernel/sud.py",
+                                        "cpu/cycles.py"])
+    def test_appended_statement_rekeys_every_cell_kind(
+            self, module, tmp_path, monkeypatch):
+        """A semantic edit anywhere in the package — here to K23's
+        runtime, SUD, or the cycle model, none of which the old
+        hand-kept module lists covered — changes micro, macro and
+        loadtest keys alike."""
+        import shutil
 
-    def test_module_digest_is_stable_and_real(self):
-        first = module_source_digest("repro.workloads.stress")
-        second = module_source_digest("repro.workloads.stress")
-        assert first == second
+        copy = tmp_path / "repro"
+        shutil.copytree(cache_mod.PACKAGE_ROOT, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(cache_mod, "PACKAGE_ROOT", copy)
+        monkeypatch.setattr(cache_mod, "_DIGESTS", {})
+        cells = [("micro", "K23-ultra", "syscall-stress", 20,
+                  (("iterations_high", 240), ("iterations_low", 60))),
+                 ("macro", "K23-ultra", "redis-1t", 30, ()),
+                 ("loadtest", "K23-ultra", "nginx", 0,
+                  (("shard", 0), ("shards", 1), ("traffic", "{}")))]
+        before = [cell_key(*cell) for cell in cells]
+        with open(copy / module, "a") as handle:
+            handle.write("\n_MUTATION = 1\n")
+        monkeypatch.setattr(cache_mod, "_DIGESTS", {})
+        after = [cell_key(*cell) for cell in cells]
+        for old, new in zip(before, after):
+            assert old != new
+
+    def test_source_digest_is_stable_and_real(self):
+        first = source_digest()
+        assert source_digest() == first
+        assert source_digest(cache_mod.PACKAGE_ROOT) == first
         assert len(first) == 64
+
+    def test_outside_factory_module_is_in_the_key(self, tmp_path,
+                                                  monkeypatch):
+        from repro.interposers.registry import REGISTRY, MechanismSpec
+
+        module = tmp_path / "outside_mech.py"
+        module.write_text("from repro.interposers.null_interposer import "
+                          "NullInterposer as Mech\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        REGISTRY.register(MechanismSpec(name="outside",
+                                        factory="outside_mech:Mech"))
+        try:
+            before = cell_key("micro", "outside", "syscall-stress", 20)
+            module.write_text(module.read_text() + "EDITED = True\n")
+            after = cell_key("micro", "outside", "syscall-stress", 20)
+        finally:
+            REGISTRY.unregister("outside")
+        assert before != after
 
     def test_distinct_cells_get_distinct_keys(self):
         micro = cell_key("micro", "SUD", "syscall-stress", 20)

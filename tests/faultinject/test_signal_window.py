@@ -50,14 +50,13 @@ def build_chldloop(iterations: int = 60) -> ProgramBuilder:
 def run_mechanism(name: str):
     from repro.core import OfflinePhase
     from repro.core.offline import import_logs
-    from repro.evaluation.runner import needs_offline
 
     kernel = Kernel(seed=777, aslr=False)
     kernel.torn_window_probability = 0.0
     ring = RingBufferSink(capacity=16384)
     kernel.bus.attach(ring)
     build_chldloop().register(kernel)
-    if needs_offline(name):
+    if REGISTRY.needs_offline(name):
         offline_kernel = Kernel(seed=778, aslr=False)
         build_chldloop().register(offline_kernel)
         offline = OfflinePhase(offline_kernel)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.k23 import K23Interposer
-from repro.evaluation.runner import needs_offline
 from repro.interposers import (
     REGISTRY,
     MechanismRegistry,
@@ -13,7 +12,6 @@ from repro.interposers import (
     UnknownMechanismError,
     ZpolineInterposer,
 )
-from repro.interposers.registry import BASELINE_EVENTS
 from repro.kernel import Kernel
 
 TABLE5_ORDER = (
@@ -34,9 +32,7 @@ class TestCatalogue:
         assert REGISTRY.names() == TABLE5_ORDER
 
     def test_mechanisms_derived_from_registry(self):
-        # The legacy runner aliases still resolve (through the
-        # DeprecationWarning shim exercised in
-        # tests/evaluation/test_deprecation.py) to the registry order.
+        # The runner's default mechanism order is the registry's.
         import repro.evaluation.runner as runner
 
         assert runner._MECHANISMS == REGISTRY.names()
@@ -50,15 +46,6 @@ class TestCatalogue:
         armed = {spec.name for spec in REGISTRY if spec.arms_sud}
         assert armed == {"lazypoline", "K23-default", "K23-ultra",
                          "K23-ultra+", "SUD-no-interposition", "SUD"}
-
-    def test_relevant_events_include_baseline(self):
-        for spec in REGISTRY:
-            assert set(BASELINE_EVENTS) <= set(spec.relevant_events)
-
-    def test_hashset_check_only_on_ultra_variants(self):
-        with_check = {spec.name for spec in REGISTRY
-                      if "HASHSET_CHECK" in spec.cost_events}
-        assert with_check == {"K23-ultra", "K23-ultra+"}
 
     def test_describe_lists_every_mechanism(self):
         text = REGISTRY.describe()
