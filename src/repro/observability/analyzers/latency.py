@@ -84,14 +84,22 @@ class LogHistogram:
         self.max = 0
 
     def record(self, value: int) -> None:
-        if value < 0:
-            value = 0
-        index = bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        # bucket_index inlined: this runs once per simulated request.
+        if value < _SUB:
+            if value < 0:
+                value = 0
+            index = value
+        else:
+            shift = value.bit_length() - SUB_BUCKET_BITS - 1
+            index = (shift << SUB_BUCKET_BITS) + (value >> shift)
+        buckets = self.buckets
+        buckets[index] = buckets.get(index, 0) + 1
         self.count += 1
         self.total += value
-        self.max = max(self.max, value)
-        self.min = value if self.min is None else min(self.min, value)
+        if value > self.max:
+            self.max = value
+        if self.min is None or value < self.min:
+            self.min = value
 
     def merge(self, other: "LogHistogram") -> None:
         for index, n in other.buckets.items():

@@ -49,14 +49,15 @@ def _interp_probe() -> str:
     icache / block-cache hit rates on a short native syscall-stress run."""
     import time
 
-    from repro.kernel.kernel import Kernel
-    from repro.workloads.stress import STRESS_PATH, install_stress
+    from repro.runapi import RunConfig, prepare
 
-    kernel = Kernel(seed=42)
-    install_stress(kernel, iterations=500)
-    process = kernel.spawn_process(STRESS_PATH)
+    config = RunConfig(mechanism="native", workload="stress", seed=42,
+                       params=(("iterations", 500),), max_steps=2_000_000)
+    prepared = prepare(config)
+    kernel = prepared.kernel
+    process = prepared.spawn()
     started = time.perf_counter()
-    retired = kernel.run_process(process, max_steps=2_000_000)
+    retired = kernel.run_process(process, max_steps=config.max_steps)
     elapsed = time.perf_counter() - started
     stats = kernel.interp_stats()
     fetches = stats["icache_hits"] + stats["icache_misses"]

@@ -2,10 +2,14 @@
 
 A load test over M mechanisms and S fleet servers is ``M × shards``
 pipeline cells (kind ``"loadtest"``), sharded **by server**: server
-``s`` belongs to shard ``s % nshards``.  Each cell regenerates the full
-arrival schedule (cheap, seeded, identical everywhere) and runs only
-its servers — in model mode through the calibrated queueing fabric, in
-full mode on real kernels via the admission seam.  The merge is
+``s`` belongs to shard ``s % nshards``.  Each cell takes the full
+arrival schedule from a one-entry per-process memo (so a process that
+runs several cells of one test generates it once) and runs only its
+servers — in model mode through the calibrated queueing fabric, in
+full mode on real kernels via the admission seam.  Every shard doc
+carries the :func:`~repro.traffic.schedule.schedule_echo` the merge
+reads, so ``run_loadtest`` never generates a schedule itself, and a rerun
+whose cells all hit the result cache generates none.  The merge is
 shard-count-blind by construction:
 
 - per-(stage, tenant, kind) tallies are commutative integer sums;
@@ -29,12 +33,29 @@ from repro.traffic.config import TrafficConfig
 from repro.traffic.fleet import (calibrate_service_table, resolve_rate,
                                  run_server_full, service_ns_table)
 from repro.traffic.loadbalancer import simulate_server
-from repro.traffic.schedule import NS, ArrivalSchedule, generate_schedule
+from repro.traffic.schedule import (NS, ArrivalSchedule, generate_schedule,
+                                    schedule_echo)
 from repro.traffic.slo import SLO_SCHEMA_VERSION, SLOReport
 
 
 def shard_servers(servers: int, shard: int, nshards: int) -> List[int]:
     return [s for s in range(servers) if s % nshards == shard]
+
+
+#: (TrafficConfig, seed) → the last schedule this process generated:
+#: the cells of one load test share it.  One entry, because a
+#: million-request schedule is 32 MB of columns.
+_SCHEDULE_MEMO: Dict[Tuple[TrafficConfig, int], ArrivalSchedule] = {}
+
+
+def memo_schedule(traffic: TrafficConfig, seed: int) -> ArrivalSchedule:
+    """The schedule for ``(traffic, seed)``, generated only on a miss."""
+    key = (traffic, seed)
+    schedule = _SCHEDULE_MEMO.get(key)
+    if schedule is None:
+        _SCHEDULE_MEMO.clear()  # free the old columns before building
+        schedule = _SCHEDULE_MEMO[key] = generate_schedule(traffic, seed)
+    return schedule
 
 
 def run_shard(mechanism: str, workload: str, traffic_doc: Dict, seed: int,
@@ -46,7 +67,7 @@ def run_shard(mechanism: str, workload: str, traffic_doc: Dict, seed: int,
     memoizes it soundly.
     """
     traffic = TrafficConfig.from_dict(traffic_doc)
-    schedule = generate_schedule(traffic, seed)
+    schedule = memo_schedule(traffic, seed)
     servers = shard_servers(traffic.servers, shard, nshards)
     calibration = calibrate_service_table(mechanism, workload, traffic, seed)
 
@@ -78,7 +99,7 @@ def run_shard(mechanism: str, workload: str, traffic_doc: Dict, seed: int,
         "mechanism": mechanism,
         "shard": shard,
         "shards": nshards,
-        "schedule_digest": schedule.digest(),
+        "schedule": schedule_echo(schedule),
         "calibration": calibration,
         "servers": docs,
     }
@@ -92,17 +113,25 @@ def _parse_key(key: str) -> Tuple[int, int, int]:
     return int(stage), int(tenant), int(kind)
 
 
-def merge_mechanism(shard_docs: Sequence[Dict], traffic: TrafficConfig,
-                    schedule: ArrivalSchedule) -> Dict:
+def shared_schedule(shard_docs: Sequence[Dict]) -> Dict:
+    """The :func:`~repro.traffic.schedule.schedule_echo` every shard doc
+    carries; they must all agree (each cell generated its own copy)."""
+    echo = shard_docs[0]["schedule"]
+    if any(doc["schedule"] != echo for doc in shard_docs):
+        digests = {doc["schedule"]["summary"]["digest"] for doc in shard_docs}
+        raise ValueError(f"shards disagree on the arrival schedule: "
+                         f"{sorted(digests)}")
+    return echo
+
+
+def merge_mechanism(shard_docs: Sequence[Dict],
+                    traffic: TrafficConfig) -> Dict:
     """Fold one mechanism's shard docs into its report section.
 
     Order-independent: docs are re-sorted by server id and every
     reduction is a commutative integer sum or an exact histogram merge.
     """
-    digests = {doc["schedule_digest"] for doc in shard_docs}
-    if len(digests) != 1:
-        raise ValueError(f"shards disagree on the arrival schedule: "
-                         f"{sorted(digests)}")
+    schedule = shared_schedule(shard_docs)
     server_docs = sorted((s for doc in shard_docs for s in doc["servers"]),
                          key=lambda s: s["server"])
 
@@ -143,8 +172,8 @@ def merge_mechanism(shard_docs: Sequence[Dict], traffic: TrafficConfig,
             else:
                 bucket.merge(hist)
 
-    stages = _stage_rows(traffic, schedule, offered, completed, shed,
-                         per_stage, stage_max_depth)
+    stages = _stage_rows(traffic, schedule["edges_ns"], offered, completed,
+                         shed, per_stage, stage_max_depth)
     knee = _find_knee(traffic, stages)
     exemplars = None
     if any("exemplars" in doc for doc in server_docs):
@@ -162,9 +191,9 @@ def merge_mechanism(shard_docs: Sequence[Dict], traffic: TrafficConfig,
         },
         "latency_ns": {
             "overall": overall.to_dict(),
-            "per_tenant": {schedule.tenant_names[t]: hist.to_dict()
+            "per_tenant": {schedule["tenant_names"][t]: hist.to_dict()
                            for t, hist in sorted(per_tenant.items())},
-            "per_kind": {schedule.kind_names[k]: hist.to_dict()
+            "per_kind": {schedule["kind_names"][k]: hist.to_dict()
                          for k, hist in sorted(per_kind.items())},
         },
         "stages": stages,
@@ -184,16 +213,12 @@ def _copy_hist(hist: LogHistogram) -> LogHistogram:
     return clone
 
 
-def _stage_rows(traffic: TrafficConfig, schedule: ArrivalSchedule,
+def _stage_rows(traffic: TrafficConfig, edges_ns: Sequence[int],
                 offered, completed, shed, per_stage,
                 stage_max_depth) -> List[Dict]:
     rows = []
-    bounds = schedule.stage_bounds()
     for stage, multiplier in enumerate(traffic.ramp):
-        first, end = bounds[stage]
-        start_ns = schedule.t_ns[first - 1] if first > 0 else 0
-        span = max(1, (schedule.t_ns[end - 1] if end > first else start_ns)
-                   - start_ns)
+        span = max(1, edges_ns[stage + 1] - edges_ns[stage])
         stage_completed = sum(n for (s, _t, _k), n in completed.items()
                               if s == stage)
         hist = per_stage.get(stage, LogHistogram())
@@ -259,7 +284,6 @@ def run_loadtest(mechanisms: Sequence[str], workload: str,
     value is passed.
     """
     from repro.evaluation.pipeline import DEFAULT_CELL_TIMEOUT, run_cells
-    from repro.traffic.schedule import schedule_summary
 
     traffic = resolve_rate(traffic, workload, seed)
     canonical = traffic.canonical()
@@ -267,19 +291,20 @@ def run_loadtest(mechanisms: Sequence[str], workload: str,
     specs = loadtest_specs(mechanisms, workload, canonical, seed, nshards)
     run = run_cells(specs, jobs=jobs, cache=cache,
                     timeout=timeout or DEFAULT_CELL_TIMEOUT)
-    schedule = generate_schedule(traffic, seed)
+    docs = [run.value(spec) for spec in specs]
+    summary = shared_schedule(docs)["summary"]
 
     sections = {}
     for mechanism in mechanisms:
-        docs = [run.value(spec) for spec in specs
-                if spec.mechanism == mechanism]
-        sections[mechanism] = merge_mechanism(docs, traffic, schedule)
+        sections[mechanism] = merge_mechanism(
+            [doc for spec, doc in zip(specs, docs)
+             if spec.mechanism == mechanism], traffic)
     doc = {
         "schema": SLO_SCHEMA_VERSION,
         "workload": workload,
         "seed": seed,
         "traffic": canonical,
-        "schedule": schedule_summary(schedule),
+        "schedule": summary,
         "mechanisms": sections,
     }
     return SLOReport(doc=doc, stats=run.stats)

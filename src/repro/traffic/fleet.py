@@ -447,9 +447,12 @@ def run_server_full(mechanism: str, workload: str, traffic: TrafficConfig,
         # RequestSpan events reach any attached sinks (null-sink guard
         # still applies at every emit).
         trace.bus = kernel.bus
-    arrivals = [(t_ns, schedule.stage_of(index), tenant, kind, conn, index)
-                for index, t_ns, tenant, kind, conn
-                in schedule.iter_requests(server)]
+    t_col, tenant_col = schedule.t_ns, schedule.tenant
+    kind_col, conn_col = schedule.kind, schedule.conn
+    arrivals = [(t_col[index], stage, tenant_col[index], kind_col[index],
+                 conn_col[index], index)
+                for stage, indices in enumerate(schedule.server_stages(server))
+                for index in indices]
     admission = RoundAdmission(
         kernel, connections, arrivals, payloads, expected,
         epoch_cycles=kernel.cycles.cycles, queue_limit=traffic.queue_limit,

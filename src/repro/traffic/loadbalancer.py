@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.observability.analyzers.latency import LogHistogram
 
@@ -41,22 +41,20 @@ class ServerSim:
 
     Feed arrivals in schedule order via :meth:`offer`, then
     :meth:`drain`; read the JSON-safe result from :meth:`result`.
-    ``emit(kind, payload)`` (optional) mirrors queue-depth samples onto
-    an event bus when the engine runs inside a kernel-attached context.
+    A request travels as ``(t_ns, (stage, tenant, kind), conn, index,
+    service_ns)``: the tally key and the service time are looked up once,
+    at arrival.
     """
 
     def __init__(self, server: int, workers: int, queue_limit: int,
                  service_ns: Dict[Tuple[int, int], int], stages: int,
-                 sample_every_ns: int,
-                 emit: Optional[Callable[[str, Dict], None]] = None,
-                 trace=None):
+                 sample_every_ns: int, trace=None):
         self.server = server
         self.workers = workers
         self.queue_limit = queue_limit
         self.service_ns = service_ns
         self.stages = stages
         self.sample_every_ns = max(1, sample_every_ns)
-        self.emit = emit
         #: Optional :class:`repro.observability.spans.TraceContext`;
         #: None keeps the hot path at one predicate per request.
         self.trace = trace
@@ -71,15 +69,14 @@ class ServerSim:
         self.in_service: List[Tuple[int, int, Tuple]] = []  # heap
         self._seq = 0
 
-        # (stage, tenant, kind) -> tallies / latency histograms (ns).
+        # (stage, tenant, kind) -> tallies / latency histograms (ns);
+        # a histogram's count is the completed tally.
         self.offered: Dict[Tuple[int, int, int], int] = {}
-        self.completed: Dict[Tuple[int, int, int], int] = {}
         self.shed: Dict[Tuple[int, int, int], int] = {}
         self.latency: Dict[Tuple[int, int, int], LogHistogram] = {}
         self.stage_max_depth = [0] * stages
         self.depth_series: List[Tuple[int, int, int]] = []
         self._next_sample_ns = 0
-        self._now = 0
 
     # ------------------------------------------------------------ events
 
@@ -89,14 +86,24 @@ class ServerSim:
         *index* is the global schedule index — the span/exemplar
         identity; -1 (direct fabric use without a schedule) disables
         span capture for the request."""
-        self._advance(t_ns)
+        # Retire completions due by t_ns first (completion-first at
+        # ties: a worker freed at t serves an arrival at t).
+        in_service = self.in_service
+        while in_service and in_service[0][0] <= t_ns:
+            self._complete_next()
+        if self._next_sample_ns <= t_ns:
+            self._sample(t_ns)
         key = (stage, tenant, kind)
-        self.offered[key] = self.offered.get(key, 0) + 1
-        request = (t_ns, stage, tenant, kind, conn, index)
+        offered = self.offered
+        offered[key] = offered.get(key, 0) + 1
+        request = (t_ns, key, conn, index, self.service_ns[(tenant, kind)])
         if self.trace is not None and index >= 0:
             self._span_meta[index] = [0, -1, 0]
         if conn in self.engaged:
-            self.conn_pending.setdefault(conn, deque()).append(request)
+            pending = self.conn_pending.get(conn)
+            if pending is None:
+                pending = self.conn_pending[conn] = deque()
+            pending.append(request)
             return
         self._admit(request, t_ns)
 
@@ -107,87 +114,78 @@ class ServerSim:
 
     # ---------------------------------------------------------- internals
 
-    def _advance(self, t_ns: int) -> None:
-        """Retire completions due before *t_ns* (completion-first at
-        ties: a worker freed at t serves an arrival at t)."""
-        while self.in_service and self.in_service[0][0] <= t_ns:
-            self._complete_next()
-        self._sample(t_ns)
-        self._now = max(self._now, t_ns)
-
     def _admit(self, request: Tuple, now: int) -> bool:
         """Place *request*; returns False when it was shed (callers own
         any connection release so shed chains stay iterative)."""
-        conn = request[4]
+        t_ns, key, conn, index, _service = request
         meta = None
-        if self.trace is not None and request[5] >= 0:
-            meta = self._span_meta[request[5]]
+        if self.trace is not None and index >= 0:
+            meta = self._span_meta[index]
             # The time between arrival and admission is spent waiting
             # for this connection's previous request (keep-alive
             # serialization); 0 when the connection was free.
-            meta[0] = now - request[0]
-        if self.free_workers > 0:
+            meta[0] = now - t_ns
+        if self.free_workers:
             self.engaged.add(conn)
             self._start(request, now)
             return True
-        if len(self.waiting) >= self.queue_limit:
-            key = (request[1], request[2], request[3])
+        waiting = self.waiting
+        if len(waiting) >= self.queue_limit:
             self.shed[key] = self.shed.get(key, 0) + 1
             if meta is not None:
-                self._span_meta.pop(request[5], None)
+                stage, tenant, kind = key
+                self._span_meta.pop(index, None)
                 self.trace.record(
-                    index=request[5], conn=conn, stage=request[1],
-                    tenant=request[2], kind=request[3],
-                    arrival_ns=request[0], latency_ns=now - request[0],
+                    index=index, conn=conn, stage=stage, tenant=tenant,
+                    kind=kind, arrival_ns=t_ns, latency_ns=now - t_ns,
                     conn_wait_ns=meta[0], shed=True)
             return False
         self.engaged.add(conn)
-        self.waiting.append(request)
+        waiting.append(request)
         if meta is not None:
             meta[1] = now
-        depth = len(self.waiting)
-        if depth > self.stage_max_depth[request[1]]:
-            self.stage_max_depth[request[1]] = depth
+        depth = len(waiting)
+        if depth > self.stage_max_depth[key[0]]:
+            self.stage_max_depth[key[0]] = depth
         return True
 
     def _start(self, request: Tuple, now: int) -> None:
-        _t, stage, tenant, kind, _conn, index = request
+        _t, _key, _conn, index, service = request
         if self.trace is not None and index >= 0:
             meta = self._span_meta[index]
             if meta[1] >= 0:
                 meta[2] = now - meta[1]
         self.free_workers -= 1
-        service = self.service_ns[(tenant, kind)]
         self._seq += 1
-        heapq.heappush(self.in_service,
-                       (now + service, self._seq, request))
+        heapq.heappush(self.in_service, (now + service, self._seq, request))
 
     def _complete_next(self) -> None:
         done_t, _seq, request = heapq.heappop(self.in_service)
-        t_ns, stage, tenant, kind, conn, index = request
-        self._sample(done_t)
-        self._now = max(self._now, done_t)
+        t_ns, key, conn, index, _service = request
+        if self._next_sample_ns <= done_t:
+            self._sample(done_t)
         self.free_workers += 1
-        key = (stage, tenant, kind)
-        self.completed[key] = self.completed.get(key, 0) + 1
         hist = self.latency.get(key)
         if hist is None:
             hist = self.latency[key] = LogHistogram()
         hist.record(done_t - t_ns)
         if self.trace is not None and index >= 0:
+            stage, tenant, kind = key
             meta = self._span_meta.pop(index)
             self.trace.record(
                 index=index, conn=conn, stage=stage, tenant=tenant,
                 kind=kind, arrival_ns=t_ns, latency_ns=done_t - t_ns,
                 conn_wait_ns=meta[0], queue_ns=meta[2])
-        # Fixed post-completion order: next waiting request first, then
-        # the finished connection's next pipelined request.
-        if self.waiting and self.free_workers > 0:
+        # Fixed post-completion order: next waiting request first (the
+        # worker just freed takes it), then the finished connection's
+        # next pipelined request.
+        if self.waiting:
             self._start(self.waiting.popleft(), done_t)
-        self._release_conn(conn, done_t)
+        self.engaged.discard(conn)
+        if self.conn_pending:
+            self._release_conn(conn, done_t)
 
     def _release_conn(self, conn: int, now: int) -> None:
-        self.engaged.discard(conn)
         pending = self.conn_pending.get(conn)
         while pending:
             request = pending.popleft()
@@ -199,13 +197,9 @@ class ServerSim:
 
     def _sample(self, t_ns: int) -> None:
         while self._next_sample_ns <= t_ns:
-            sample = (self._next_sample_ns, len(self.waiting),
-                      self.workers - self.free_workers)
-            self.depth_series.append(sample)
-            if self.emit is not None:
-                self.emit("queue_depth", {
-                    "server": self.server, "t_ns": sample[0],
-                    "depth": sample[1], "in_flight": sample[2]})
+            self.depth_series.append((self._next_sample_ns,
+                                      len(self.waiting),
+                                      self.workers - self.free_workers))
             self._next_sample_ns += self.sample_every_ns
 
     # ------------------------------------------------------------- output
@@ -213,7 +207,8 @@ class ServerSim:
     def result(self) -> Dict:
         """JSON-safe shard result for this server; merged by the engine
         with plain integer sums + histogram merges."""
-        return server_result_doc(self.server, self.offered, self.completed,
+        completed = {key: hist.count for key, hist in self.latency.items()}
+        return server_result_doc(self.server, self.offered, completed,
                                  self.shed, self.latency,
                                  self.stage_max_depth, self.depth_series)
 
@@ -239,21 +234,22 @@ def server_result_doc(server: int, offered, completed, shed, latency,
 
 
 def simulate_server(server: int, schedule, service_ns, workers: int,
-                    queue_limit: int,
-                    emit: Optional[Callable[[str, Dict], None]] = None,
-                    trace=None) -> Dict:
+                    queue_limit: int, trace=None) -> Dict:
     """Run one server's arrivals through the fabric and return its
     shard result.  *schedule* is an ArrivalSchedule; only requests whose
-    connection shards to *server* are offered.  *trace* (a
-    :class:`repro.observability.spans.TraceContext`) enables per-request
-    span capture."""
+    connection shards to *server* are offered, stage by stage.  *trace*
+    (a :class:`repro.observability.spans.TraceContext`) enables
+    per-request span capture."""
     span = max(1, schedule.span_ns())
     sim = ServerSim(server=server, workers=workers, queue_limit=queue_limit,
                     service_ns=service_ns, stages=len(schedule.config.ramp),
-                    sample_every_ns=span // DEPTH_SAMPLES or 1, emit=emit,
-                    trace=trace)
-    for index, t_ns, tenant, kind, conn in schedule.iter_requests(server):
-        sim.offer(t_ns, schedule.stage_of(index), tenant, kind, conn,
-                  index=index)
+                    sample_every_ns=span // DEPTH_SAMPLES or 1, trace=trace)
+    t_col, tenant_col = schedule.t_ns, schedule.tenant
+    kind_col, conn_col = schedule.kind, schedule.conn
+    offer = sim.offer
+    for stage, indices in enumerate(schedule.server_stages(server)):
+        for index in indices:
+            offer(t_col[index], stage, tenant_col[index], kind_col[index],
+                  conn_col[index], index)
     sim.drain()
     return sim.result()

@@ -4,16 +4,21 @@ One ``random.Random(seed)`` stream drives every draw, in one fixed
 order per request (gap, tenant, kind, connection), so the schedule is a
 pure function of ``(config, seed)``: no wall clock, no float
 accumulation across shards (each arrival time is the running integer
-nanosecond sum), no dict iteration.  Shards *re-generate* the same full
-schedule and filter it — cheaper and strictly safer than splitting the
-RNG — which is what makes ``--jobs 1/2/4`` byte-identical.
+nanosecond sum), no dict iteration.  A process generates the full
+schedule at most once per ``(config, seed)`` (the memo in
+:mod:`repro.traffic.engine`), each server walks only its own requests
+(:meth:`ArrivalSchedule.server_stages`), and the report merge reads the
+small :func:`schedule_echo` every shard doc carries instead of a
+schedule of its own.  Never splitting the RNG is what makes ``--jobs
+1/2/4`` byte-identical.
 
 Columns live in ``array('q')`` (8 bytes/field): a million-request
 schedule is four 8 MB arrays, not a million Python objects.
 
-The rate ramp is request-count-staged: stage ``i = r * len(ramp) // n``
-for request ``r`` of ``n``, so every stage holds the same number of
-requests and per-stage percentiles are equally grounded.
+The rate ramp is request-count-staged: :meth:`ArrivalSchedule.
+stage_bounds` gives stage ``s`` the requests from ``s * n // len(ramp)``
+on, so every stage holds the same number of requests (±1) and
+per-stage percentiles are equally grounded.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ import hashlib
 import math
 import random
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from repro.traffic.config import TrafficConfig
 
@@ -34,25 +41,9 @@ NS = 10**9
 #: regime that stresses queue leveling.
 PARETO_ALPHA = 1.5
 
-
-def _weighted_picker(weights: Tuple[Tuple[str, int], ...]):
-    """O(1)-ish cumulative-weight picker over a small weight table."""
-    keys = [key for key, _ in weights]
-    cumulative = []
-    running = 0
-    for _, weight in weights:
-        running += weight
-        cumulative.append(running)
-    total = running
-
-    def pick(rng: random.Random) -> int:
-        point = rng.randrange(total)
-        for index, bound in enumerate(cumulative):
-            if point < bound:
-                return index
-        return len(keys) - 1  # unreachable
-
-    return keys, pick
+#: Lognormal burstiness; mu is set per stage so the mean gap is exactly
+#: 1/rate: the mean of lognormal(mu, sigma) is exp(mu + sigma^2/2).
+LOGNORMAL_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,8 @@ class ArrivalSchedule:
     nanoseconds from test start); ``tenant[i]`` / ``kind[i]`` index
     ``tenant_names`` / ``kind_names``; ``conn[i]`` is the connection the
     request arrives on, and ``conn % servers`` its server — the sharding
-    axis.  ``stage_of`` and the digest are derived, not stored.
+    axis.  Stages, the per-server partition and the digest are derived,
+    not stored.
     """
 
     config: TrafficConfig
@@ -78,16 +70,6 @@ class ArrivalSchedule:
     def __len__(self) -> int:
         return len(self.t_ns)
 
-    def stage_of(self, index: int) -> int:
-        # Inverse of stage_bounds: stage s covers [s*n//stages,
-        # (s+1)*n//stages), so s is the largest value with
-        # s*n//stages <= index.
-        stages, n = len(self.config.ramp), len(self.t_ns)
-        return ((index + 1) * stages - 1) // n
-
-    def server_of(self, index: int) -> int:
-        return self.conn[index] % self.config.servers
-
     def digest(self) -> str:
         """SHA-256 over the raw column bytes: the byte-identity witness
         quoted in METRICS_slo.json and asserted by the property tests."""
@@ -100,48 +82,54 @@ class ArrivalSchedule:
         return self.t_ns[-1] if len(self.t_ns) else 0
 
     def stage_bounds(self) -> Tuple[Tuple[int, int], ...]:
-        """Per-stage ``(first_index, end_index)`` half-open ranges."""
+        """Per-stage ``(first_index, end_index)`` half-open ranges —
+        the stage rule the fabric, full serve and the report tally by.
+
+        generate_schedule draws the rate by another rule (see there):
+        when ``n % len(ramp) != 0`` the two disagree on a request at
+        some stage edges, which is drawn at one stage's rate and
+        tallied in the next.
+        """
         n, stages = len(self.t_ns), len(self.config.ramp)
         return tuple((s * n // stages, (s + 1) * n // stages)
                      for s in range(stages))
 
-    def iter_requests(self, server: int = -1
-                      ) -> Iterator[Tuple[int, int, int, int, int]]:
-        """Yield ``(index, t_ns, tenant, kind, conn)``, optionally only
-        for requests whose connection shards to *server*."""
+    def stage_edges_ns(self) -> Tuple[int, ...]:
+        """Arrival time of the last request before each stage edge
+        (0 for an edge at index 0): ``len(ramp) + 1`` values, stage *s*
+        spanning ``edges[s]..edges[s + 1]``."""
+        edges = [first for first, _ in self.stage_bounds()]
+        edges.append(len(self.t_ns))
+        return tuple(self.t_ns[edge - 1] if edge else 0 for edge in edges)
+
+    @cached_property
+    def by_server(self) -> Tuple[array, ...]:
+        """Each server's request indices in arrival order, partitioned
+        in one pass over the connection column."""
         servers = self.config.servers
-        for index in range(len(self.t_ns)):
-            if server >= 0 and self.conn[index] % servers != server:
-                continue
-            yield (index, self.t_ns[index], self.tenant[index],
-                   self.kind[index], self.conn[index])
+        parts = tuple(array("q") for _ in range(servers))
+        appends = [part.append for part in parts]
+        for index, conn in enumerate(self.conn):
+            appends[conn % servers](index)
+        return parts
+
+    def server_stages(self, server: int) -> List[array]:
+        """*server*'s request indices split by :meth:`stage_bounds` —
+        the one way the fabric and full serve walk their arrivals."""
+        indices = self.by_server[server]
+        return [indices[bisect_left(indices, first):
+                        bisect_left(indices, end)]
+                for first, end in self.stage_bounds()]
 
 
-def _gap_drawer(arrival: str):
-    """Return draw(rng, rate) -> gap_ns for the configured process.
-
-    Each drawer converts a float draw to integer nanoseconds
-    immediately (round-half-even via int(x + 0.5) is avoided — plain
-    truncation of a positive float is platform-stable), so no float
-    state survives between requests.
-    """
-    if arrival == "poisson":
-        def draw(rng: random.Random, rate: int) -> int:
-            return int(rng.expovariate(rate / NS))
-    elif arrival == "lognormal":
-        # sigma=1 burstiness; mu set so the mean is exactly 1/rate:
-        # mean of lognormal(mu, sigma) = exp(mu + sigma^2/2).
-        sigma = 1.0
-
-        def draw(rng: random.Random, rate: int) -> int:
-            mu = math.log(NS / rate) - sigma * sigma / 2.0
-            return int(rng.lognormvariate(mu, sigma))
-    else:  # pareto
-        def draw(rng: random.Random, rate: int) -> int:
-            # Scale xm so the mean alpha*xm/(alpha-1) is 1/rate.
-            xm = (PARETO_ALPHA - 1.0) / PARETO_ALPHA * (NS / rate)
-            return int(xm * rng.paretovariate(PARETO_ALPHA))
-    return draw
+def _cumulative(weights: Tuple[Tuple[str, int], ...]) -> Tuple[List[int],
+                                                               int]:
+    """Running weight sums for a ``bisect_right`` pick, and the total."""
+    cumulative, running = [], 0
+    for _, weight in weights:
+        running += weight
+        cumulative.append(running)
+    return cumulative, running
 
 
 def generate_schedule(config: TrafficConfig, seed: int) -> ArrivalSchedule:
@@ -150,41 +138,91 @@ def generate_schedule(config: TrafficConfig, seed: int) -> ArrivalSchedule:
     ``config.rate`` must be resolved (non-zero).  Draw order per request
     is fixed — gap, tenant, kind, connection — and every consumer draw
     happens even when a value is forced (single tenant still burns a
-    draw via the picker), so adding consumers later can't silently
-    reshuffle the stream for old configs.
+    draw), so adding consumers later can't silently reshuffle the stream
+    for old configs.
+
+    The loop draws straight from ``rng.random``/``rng.getrandbits`` and
+    inlines what CPython's ``expovariate``, ``lognormvariate``
+    (Kinderman–Monahan ``normalvariate``), ``paretovariate`` and
+    ``randrange`` do with them, so it consumes the stream exactly as
+    those calls would; the pinned digests in
+    ``tests/traffic/test_schedule.py`` witness it.  Each float gap is
+    truncated to integer nanoseconds at once, so no float state
+    survives between requests.
     """
     if config.rate <= 0:
         raise ValueError("generate_schedule needs a resolved rate")
     rng = random.Random(seed)
-    draw_gap = _gap_drawer(config.arrival)
-    tenant_names, pick_tenant = _weighted_picker(config.tenants)
-    kind_tables = {}
-    for name, _ in config.tenants:
-        kind_tables[name] = _weighted_picker(config.mix_for(name))
-    kind_names = tuple(sorted({kind for keys, _ in kind_tables.values()
-                               for kind in keys}))
+    draw, getrandbits = rng.random, rng.getrandbits
+    log, exp = math.log, math.exp
+    magic = random.NV_MAGICCONST
+
+    tenant_names = tuple(name for name, _ in config.tenants)
+    tenant_cum, tenant_total = _cumulative(config.tenants)
+    tenant_bits = tenant_total.bit_length()
+    mixes = [config.mix_for(name) for name in tenant_names]
+    kind_names = tuple(sorted({kind for mix in mixes for kind, _ in mix}))
     kind_index = {kind: i for i, kind in enumerate(kind_names)}
+    # Per tenant: (cumulative weights, total, draw bits, kind ids).
+    kind_tables = []
+    for mix in mixes:
+        cumulative, total = _cumulative(mix)
+        kind_tables.append((cumulative, total, total.bit_length(),
+                            [kind_index[kind] for kind, _ in mix]))
+    connections = config.connections
+    conn_bits = connections.bit_length()
 
     n = config.requests
     stages = len(config.ramp)
-    t_col, tenant_col = array("q"), array("q")
-    kind_col, conn_col = array("q"), array("q")
+    t_col, tenant_col = array("q", [0]) * n, array("q", [0]) * n
+    kind_col, conn_col = array("q", [0]) * n, array("q", [0]) * n
+    arrival = config.arrival
+    sigma = LOGNORMAL_SIGMA
+    pareto_exponent = -1.0 / PARETO_ALPHA
     now = 0
-    for index in range(n):
-        stage_rate = config.rate * config.ramp[index * stages // n]
-        now += draw_gap(rng, stage_rate)
-        tenant = pick_tenant(rng)
-        keys, pick_kind = kind_tables[tenant_names[tenant]]
-        kind = kind_index[keys[pick_kind(rng)]]
-        conn = rng.randrange(config.connections)
-        t_col.append(now)
-        tenant_col.append(tenant)
-        kind_col.append(kind)
-        conn_col.append(conn)
+    for stage, multiplier in enumerate(config.ramp):
+        rate = config.rate * multiplier
+        lambd = rate / NS
+        mu = log(NS / rate) - sigma * sigma / 2.0
+        xm = (PARETO_ALPHA - 1.0) / PARETO_ALPHA * (NS / rate)
+        # Request i is drawn at ramp[i * stages // n], so this stage
+        # starts at ceil(stage * n / stages).  That is not stage_bounds'
+        # rule: when n % stages != 0 a stage-edge request is drawn at one
+        # stage's rate and tallied in the next.  Changing either rule
+        # changes METRICS_slo.json bytes.
+        first = -(-stage * n // stages)
+        end = -(-(stage + 1) * n // stages)
+        for index in range(first, end):
+            if arrival == "poisson":
+                now += int(-log(1.0 - draw()) / lambd)
+            elif arrival == "lognormal":
+                while True:
+                    u1 = draw()
+                    u2 = 1.0 - draw()
+                    z = magic * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -log(u2):
+                        break
+                now += int(exp(mu + z * sigma))
+            else:  # pareto; xm scales the mean alpha*xm/(alpha-1) to 1/rate
+                now += int(xm * (1.0 - draw()) ** pareto_exponent)
+            point = getrandbits(tenant_bits)
+            while point >= tenant_total:
+                point = getrandbits(tenant_bits)
+            tenant = bisect_right(tenant_cum, point)
+            cumulative, total, bits, kinds = kind_tables[tenant]
+            point = getrandbits(bits)
+            while point >= total:
+                point = getrandbits(bits)
+            conn = getrandbits(conn_bits)
+            while conn >= connections:
+                conn = getrandbits(conn_bits)
+            t_col[index] = now
+            tenant_col[index] = tenant
+            kind_col[index] = kinds[bisect_right(cumulative, point)]
+            conn_col[index] = conn
     return ArrivalSchedule(config=config, seed=seed, t_ns=t_col,
                            tenant=tenant_col, kind=kind_col, conn=conn_col,
-                           tenant_names=tuple(tenant_names),
-                           kind_names=kind_names)
+                           tenant_names=tenant_names, kind_names=kind_names)
 
 
 def schedule_summary(schedule: ArrivalSchedule) -> Dict:
@@ -199,4 +237,17 @@ def schedule_summary(schedule: ArrivalSchedule) -> Dict:
             for s, (m, bounds) in enumerate(
                 zip(schedule.config.ramp, schedule.stage_bounds()))
         ],
+    }
+
+
+def schedule_echo(schedule: ArrivalSchedule) -> Dict:
+    """Everything the report merge reads of a schedule, small enough to
+    ride in every shard doc: the summary echoed into METRICS_slo.json,
+    the name tables and the stage-edge arrival times.  Lists, not
+    tuples, so a fresh doc equals one read back from the cell cache."""
+    return {
+        "summary": schedule_summary(schedule),
+        "tenant_names": list(schedule.tenant_names),
+        "kind_names": list(schedule.kind_names),
+        "edges_ns": list(schedule.stage_edges_ns()),
     }

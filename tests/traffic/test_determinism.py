@@ -13,6 +13,7 @@ import pytest
 import repro.traffic.fleet as fleet
 from repro.traffic.config import TrafficConfig
 from repro.traffic.engine import run_loadtest
+from repro.traffic.schedule import generate_schedule
 
 TIER_HATCHES = ("REPRO_NO_BLOCK_CACHE", "REPRO_NO_CHAIN",
                 "REPRO_NO_SUPERBLOCK", "REPRO_NO_TRACE_JIT")
@@ -111,3 +112,62 @@ def test_runconfig_traffic_roundtrip():
     assert result.slo is not None
     assert result.requests == result.slo.total_completed()
     assert result.ok
+
+
+PIN_TENANTS = (("anchor", 5), ("batch", 2), ("probe", 1))
+PIN_MIX = (("small", 6), ("medium", 3), ("large", 1), ("batch:large", 3),
+           ("batch:small", 1), ("probe:medium", 1))
+
+#: SHA-256 of ``run_loadtest(...).to_json()``: the report bytes must not
+#: move with host-side changes to the generator, fabric or merge.  Every
+#: config sheds load and runs 1201 requests over 3 stages (not a
+#: multiple), at either shard count.
+PINNED_REPORTS = {
+    "shed": (dict(queue_limit=2),
+             "bb313830b8e159a97e016525a2507c86926fc992514357a52b6634704345a3e2"),
+    "spans-lognormal": (
+        dict(arrival="lognormal", spans=True, queue_limit=3),
+        "b24e4bca739d4a1e1f31dfbf92c08daf881994b8afb5139bf62fdfd03ebc7f27"),
+    "spans-pareto": (
+        dict(arrival="pareto", spans=True, queue_limit=3,
+             tenants=PIN_TENANTS, mix=PIN_MIX),
+        "2d6df1af282b5a5551cb5b2d842ed21b2a2a78b061c13dcb3edc8cf1762b72a5"),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(name, jobs):
+    import hashlib
+
+    overrides, digest = PINNED_REPORTS[name]
+    traffic = model_config(requests=1201, ramp=(1, 4, 32), **overrides)
+    text = report_json(traffic, jobs=jobs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_one_generation_cold_none_when_cached(tmp_path, monkeypatch):
+    """A cold two-mechanism run generates its schedule once (the cells
+    share the engine's memo and run_loadtest reads the shard docs); a
+    rerun whose cells all hit the cache generates none."""
+    import repro.traffic.engine as engine
+    from repro.evaluation.cache import ResultCache
+
+    generations = []
+
+    def counted(traffic, seed):
+        generations.append(seed)
+        return generate_schedule(traffic, seed)
+
+    monkeypatch.setattr(engine, "generate_schedule", counted)
+    engine._SCHEDULE_MEMO.clear()
+    cache = ResultCache(tmp_path / "cache")
+    cold = run_loadtest(["native", "zpoline-default"], "redis",
+                        model_config(), seed=31, jobs=1, cache=cache)
+    assert len(generations) == 1
+    engine._SCHEDULE_MEMO.clear()
+    warm = run_loadtest(["native", "zpoline-default"], "redis",
+                        model_config(), seed=31, jobs=1, cache=cache)
+    assert len(generations) == 1
+    assert (warm.stats.hits, warm.stats.misses) == (2, 0)
+    assert warm.to_json() == cold.to_json()

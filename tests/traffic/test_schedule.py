@@ -52,9 +52,10 @@ def test_stage_bounds_partition_requests():
     assert bounds[0][0] == 0 and bounds[-1][1] == len(schedule)
     for (_, end), (start, _) in zip(bounds, bounds[1:]):
         assert end == start
-    for stage, (start, end) in enumerate(bounds):
-        assert schedule.stage_of(start) == stage
-        assert schedule.stage_of(end - 1) == stage
+    for server in range(4):
+        for (start, end), indices in zip(bounds,
+                                         schedule.server_stages(server)):
+            assert all(start <= index < end for index in indices)
 
 
 def test_ramp_speeds_up_arrivals():
@@ -69,9 +70,13 @@ def test_ramp_speeds_up_arrivals():
 
 def test_server_sharding_covers_all_requests():
     schedule = generate_schedule(small(), 9)
-    total = sum(1 for s in range(4)
-                for _ in schedule.iter_requests(s))
-    assert total == len(schedule)
+    dealt = sorted(index for s in range(4)
+                   for indices in schedule.server_stages(s)
+                   for index in indices)
+    assert dealt == list(range(len(schedule)))
+    for s in range(4):
+        assert all(schedule.conn[index] % 4 == s
+                   for index in schedule.by_server[s])
 
 
 def test_tenant_weights_respected():
@@ -90,3 +95,39 @@ def test_summary_echo():
     assert doc["digest"] == schedule.digest()
     assert [row["rate"] for row in doc["stages"]] == \
         [100_000, 200_000, 400_000]
+
+
+PIN_TENANTS = (("anchor", 5), ("batch", 2), ("probe", 1))
+PIN_MIX = (("small", 6), ("medium", 3), ("large", 1), ("batch:large", 3),
+           ("batch:small", 1), ("probe:medium", 1))
+
+#: The draw stream is part of the artifact contract: METRICS_slo.json
+#: and perfbench/reference.json quote schedules drawn this way.  Every
+#: arrival process, three tenants with tenant-scoped mixes, a connection
+#: count that forces rejection draws, and request counts that are not a
+#: multiple of the stage count (the stage-edge requests are where the
+#: generator's stage rule and ``stage_bounds`` part ways).
+PINNED_SCHEDULE_DIGESTS = {
+    ("poisson", 20001, 5):
+        "be549b5bd6c42946e760ff9ad9d964b96f758e5c1ef780a8c7eb7675220b04f6",
+    ("poisson", 7, 10):
+        "2326d1986a5eb6fbcd67c21f1021f1de5645238dfe2e2b661cebdc2d76c991e7",
+    ("lognormal", 20001, 5):
+        "88748d8536077c84d712fee097d269ed0acd0784c1091e0c37d66b7c7aa46874",
+    ("lognormal", 7, 10):
+        "79f50169d0b767e12236c72cebbe0590fb136a7161b78e143203e0c12b13e67b",
+    ("pareto", 20001, 5):
+        "ae3c3397b9544dff5495dee35f9eeaf6517ad07538d3848eaa45a0c761e20e01",
+    ("pareto", 7, 10):
+        "b83ec63dd31a1ffad2e6cc4eb223d4837b03bfec3d4516278ed6380113d2abb5",
+}
+
+
+@pytest.mark.parametrize("arrival,requests,stages",
+                         sorted(PINNED_SCHEDULE_DIGESTS))
+def test_schedule_bytes_pinned(arrival, requests, stages):
+    config = TrafficConfig(requests=requests, rate=50_000, arrival=arrival,
+                           servers=3, connections=100, tenants=PIN_TENANTS,
+                           mix=PIN_MIX, ramp=tuple(range(1, stages + 1)))
+    assert generate_schedule(config, 29).digest() == \
+        PINNED_SCHEDULE_DIGESTS[(arrival, requests, stages)]
