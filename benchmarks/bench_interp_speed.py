@@ -6,29 +6,27 @@ process):
 
     PYTHONPATH=src python benchmarks/bench_interp_speed.py [--quick]
 
-Runs two workloads under every engine tier, timing host wall-clock per
-simulated instruction:
+Runs two workloads in each of the three engine configurations, timing
+host wall-clock per simulated instruction:
 
 - ``single-step``  — ``REPRO_NO_BLOCK_CACHE=1`` reference interpreter;
-- ``block-cache``  — ``REPRO_NO_CHAIN=1``: PR 2 behaviour, one block per
-  dispatch round-trip;
-- ``chain``        — ``REPRO_NO_SUPERBLOCK=1``: blocks linked across
+- ``chain``        — ``REPRO_NO_TRACE_JIT=1``: blocks linked across
   direct control flow, dispatcher skipped in steady state;
-- ``superblock``   — ``REPRO_NO_TRACE_JIT=1``: hot chains stitched into
-  single replay units with one batched INSTRUCTION charge;
-- ``trace-jit``    — full engine: hottest superblocks compiled to
-  ``exec``'d Python with the inline-cached single-page memory fast path.
+- ``trace-jit``    — full engine: hot chains compiled to ``exec``'d
+  Python with the inline-cached single-page memory fast path.
 
 Workloads:
 
 - ``syscall-stress`` — the Table 5 microbenchmark loop (syscall-dense,
   short blocks, replay-heavy);
 - ``sqlite speedtest1`` — the Table 6 runtime macro workload (longer
-  straight-line runs, more memory traffic).
+  straight-line runs, more memory traffic), at 12,000 transactions —
+  about 10^6 retired instructions, long enough to measure steady state
+  rather than the JIT's warm-up.
 
 Each (workload, mode) cell reports best-of-N wall time, insns/sec, and
 the final simulated cycle counter — which must be *identical* across all
-five modes (every tier is a pure interpreter optimization; see
+three modes (chaining and the JIT are pure interpreter optimizations; see
 tests/cpu/test_engine.py and tests/properties/test_prop_lockstep.py).
 A separate micro-bench times the address-space single-page fast path
 with per-page generations against simulated global-generation eviction.
@@ -56,14 +54,12 @@ SEED_BASELINE_STRESS_IPS = 225_297
 #: >= 2x this number on the full trace-jit tier.
 PR2_BASELINE_STRESS_IPS = 686_002
 
-#: mode name -> escape hatch that selects it.  Each hatch disables its
-#: tier *and* everything above it (EngineConfig enforces the hierarchy),
-#: so setting exactly one variable pins exactly one tier.
+#: mode name -> escape hatch that selects it (``REPRO_NO_BLOCK_CACHE``
+#: outranks ``REPRO_NO_TRACE_JIT``), so setting exactly one variable pins
+#: exactly one configuration.
 MODES = {
     "single-step": "REPRO_NO_BLOCK_CACHE",
-    "block-cache": "REPRO_NO_CHAIN",
-    "chain": "REPRO_NO_SUPERBLOCK",
-    "superblock": "REPRO_NO_TRACE_JIT",
+    "chain": "REPRO_NO_TRACE_JIT",
     "trace-jit": None,
 }
 
@@ -131,7 +127,6 @@ def _measure(fn, arg, mode, rounds):
         "block_hit_rate": round(stats["block_hits"] / units, 4)
         if units else None,
         "chain_follows": stats["chain_follows"],
-        "superblock_hits": stats["superblock_hits"],
         "trace_hits": stats["trace_hits"],
         "guard_fails": stats["guard_fails"],
     }
@@ -204,10 +199,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     quick = args.quick or args.smoke
     rounds = 1 if quick else 3
-    # The stress loop needs enough trips to amortize warm-up (superblock
-    # and JIT thresholds) the way real table-6 runs do.
+    # Both cells need enough work to amortize the JIT's warm-up the way
+    # real table-6 runs do: 12,000 transactions retire about 10^6
+    # instructions.
     stress_iters = 500 if quick else 20_000
-    sqlite_txns = 20 if quick else 120
+    sqlite_txns = 20 if quick else 12_000
 
     baseline_ips = None
     if args.assert_within is not None:
@@ -223,7 +219,7 @@ def main(argv=None):
     }
     report = {
         "protocol": f"best of {rounds} rounds, host wall clock, "
-                    "5-tier engine matrix",
+                    "3-configuration engine matrix",
         "seed_baseline": {
             "workload": "syscall-stress",
             "insns_per_sec": SEED_BASELINE_STRESS_IPS,
@@ -244,12 +240,12 @@ def main(argv=None):
         sim_cycles = {mode: cells[mode]["sim_cycles"] for mode in MODES}
         if len(set(sim_cycles.values())) != 1:
             raise SystemExit(
-                f"{name}: sim cycles diverged across tiers: {sim_cycles}")
+                f"{name}: sim cycles diverged across modes: {sim_cycles}")
         full = cells["trace-jit"]["insns_per_sec"]
         cells["speedup_trace_jit_vs_single_step"] = round(
             full / cells["single-step"]["insns_per_sec"], 3)
-        cells["speedup_trace_jit_vs_block_cache"] = round(
-            full / cells["block-cache"]["insns_per_sec"], 3)
+        cells["speedup_trace_jit_vs_chain"] = round(
+            full / cells["chain"]["insns_per_sec"], 3)
         if name == "syscall-stress":
             cells["speedup_trace_jit_vs_seed"] = round(
                 full / SEED_BASELINE_STRESS_IPS, 3)

@@ -6,7 +6,8 @@ an execution environment and returns how many retired.  The first visit to
 an address **records** — it executes instruction-by-instruction through the
 normal ICache fetch path while tracing the straight-line run into a
 :class:`repro.cpu.icache.Block` of pre-bound closures.  Later visits
-**replay** the block without re-fetching or re-decoding.
+**replay** the block without re-fetching or re-decoding, and follow its
+chain of successor blocks and compiled traces (:mod:`repro.cpu.engine`).
 
 Equivalence with single-stepping is the design invariant (the evaluation
 pipeline's numbers must be byte-identical with the cache on or off):
@@ -40,8 +41,8 @@ from __future__ import annotations
 from repro.arch.isa import Mnemonic
 from repro.cpu.cycles import Event
 from repro.cpu.dispatch import BLOCK_TERMINATORS
-from repro.cpu.engine import form_superblock, run_superblock
 from repro.cpu.icache import Block, TERM_END
+from repro.cpu.tracejit import form_superblock, run_trace
 from repro.errors import DecodeError, InvalidOpcode
 
 _MASK64 = (1 << 64) - 1
@@ -58,11 +59,10 @@ def run_unit(env, budget: int) -> int:
     raised).  Exceptions propagate exactly as from single-stepping, with
     ``env.unit_retired`` naming the in-unit index of the culprit.
 
-    With a chaining-enabled :class:`repro.cpu.engine.EngineConfig` on the
-    environment's icache, one unit follows the chain of cached blocks
-    (dispatching superblocks and compiled traces where formed) until a
-    unit-ending terminator, an uncached/invalid successor, or the budget;
-    without one, a unit is exactly one block — PR 2 behaviour.
+    One unit follows the chain of cached blocks (running compiled traces
+    where the icache's :class:`repro.cpu.engine.EngineConfig` formed them)
+    until a unit-ending terminator, an uncached/invalid successor, or the
+    budget.
     """
     ctx = env.context
     icache = env.icache
@@ -70,13 +70,6 @@ def run_unit(env, budget: int) -> int:
     if block is None:
         return _record(env, ctx, icache, budget)
     engine = icache.engine
-    if engine is None or not engine.chain:
-        return _replay(env, ctx, block, budget, 0)
-    return _run_chained(env, ctx, icache, engine, block, budget)
-
-
-def _run_chained(env, ctx, icache, engine, block, budget: int) -> int:
-    """Follow the block chain for up to *budget* instructions."""
     total = 0
     blocks = icache._blocks
     while True:
@@ -84,13 +77,16 @@ def _run_chained(env, ctx, icache, engine, block, budget: int) -> int:
         if sb is None:
             heat = block.heat + 1
             block.heat = heat
-            if engine.superblock and heat >= engine.superblock_threshold:
-                sb = form_superblock(icache, block, engine)
+            # Offered to the compiler once, when the heat reaches the
+            # threshold: a declined head stays chained and is not
+            # re-offered on later visits.
+            if heat == engine.threshold and engine.trace_jit:
+                sb = form_superblock(icache, block, env)
         if sb is not None and sb.valid and sb.n_steps <= budget - total:
-            n = run_superblock(env, ctx, icache, sb, total)
+            n = run_trace(env, ctx, icache, sb, total)
             total += n
             if n < sb.n_steps or sb.tail_end:
-                # Early exit (guard failure / constituent invalidated) or
+                # Early exit (guard failure / self-invalidating store) or
                 # a unit-ending tail: hand control back to the scheduler.
                 return total
             block = sb.blocks[-1]
@@ -107,7 +103,7 @@ def _run_chained(env, ctx, icache, engine, block, budget: int) -> int:
             nxt = blocks.get(rip)
             if nxt is None:
                 # Uncached successor: end the unit; the next unit records
-                # it (with a fresh base, exactly like the unchained path).
+                # it with a fresh base.
                 return total
             block.succ = nxt
             icache.chain_links += 1

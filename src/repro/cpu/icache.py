@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.arch.decoder import decode
 from repro.arch.isa import Instruction, Mnemonic
 from repro.cpu.dispatch import BLOCK_TERMINATORS, Executor, compile_insn
+from repro.cpu.engine import EngineConfig
 from repro.errors import ProtectionKeyFault, SegmentationFault
 from repro.memory.pages import page_index
 
@@ -53,13 +54,14 @@ LINE_SPAN = 16
 #: instruction, and its compiled executor closure.
 Line = Tuple[bytes, Instruction, Executor]
 
-#: How a block ends, for the chaining tier (:mod:`repro.cpu.engine`):
-#: a statically-known single successor (direct jump/call, fall-through
-#: cut), a conditional branch (two static successors), an indirect branch
-#: (successor computed at run time — chains follow it through the
-#: validated ``succ`` edge, but superblock formation stops), or a
-#: unit-ending terminator (syscall, hostcall, serializing, faulting trio)
-#: after which the scheduler must get control back.
+#: How a block ends, for chaining and trace formation
+#: (:mod:`repro.cpu.engine`): a statically-known single successor (direct
+#: jump/call, fall-through cut), a conditional branch (two static
+#: successors), an indirect branch (successor computed at run time —
+#: chains follow it through the validated ``succ`` edge, but superblock
+#: formation stops), or a unit-ending terminator (syscall, hostcall,
+#: serializing, faulting trio) after which the scheduler must get control
+#: back.
 TERM_DIRECT = 0
 TERM_COND = 1
 TERM_INDIRECT = 2
@@ -75,14 +77,14 @@ class Block:
     instructions so a block self-invalidated by its own store stops exactly
     where single-stepping would have re-fetched.
 
-    The chaining/superblock tiers hang their bookkeeping here: ``succ`` is
-    a monomorphic inline cache of the last-observed successor block
+    Chaining and the trace JIT hang their bookkeeping here: ``succ`` is a
+    monomorphic inline cache of the last-observed successor block
     (validated against ``ctx.rip`` and ``succ.valid`` at follow time, so a
     stale edge degrades to a dictionary lookup, never to wrong execution);
-    ``heat`` counts replays toward superblock formation; ``superblock`` is
-    the superblock headed here (``None`` until formed); ``sbs`` lists every
-    superblock this block participates in, so dropping the block dooms
-    them all.
+    ``heat`` counts replays toward trace compilation; ``superblock`` is
+    the compiled superblock headed here (``None`` until compiled);
+    ``sbs`` lists every superblock this block participates in, so
+    dropping the block dooms them all.
     """
 
     __slots__ = ("entry", "end", "steps", "valid",
@@ -118,14 +120,14 @@ class Block:
 class ICache:
     """Decoded-instruction cache (and block cache) for one core.
 
-    *engine* is the :class:`repro.cpu.engine.EngineConfig` selecting the
-    chaining/superblock/trace-JIT tiers; ``None`` (the default, used by
-    unit-test environments) runs the plain one-block-per-unit PR 2 path.
+    Blocks always chain; *engine* (default :class:`EngineConfig`) says
+    whether and when hot chains compile to traces.
     """
 
-    def __init__(self, core_id: int = 0, engine=None):
+    def __init__(self, core_id: int = 0,
+                 engine: Optional[EngineConfig] = None):
         self.core_id = core_id
-        self.engine = engine
+        self.engine = engine if engine is not None else EngineConfig()
         self._lines: Dict[int, Line] = {}
         self._line_pages: Dict[int, Set[int]] = {}
         self._blocks: Dict[int, Block] = {}
@@ -144,8 +146,6 @@ class ICache:
         # Engine-tier counters (repro.cpu.engine / repro.cpu.tracejit).
         self.chain_links = 0
         self.chain_follows = 0
-        self.superblocks_formed = 0
-        self.superblock_hits = 0
         self.traces_compiled = 0
         self.trace_hits = 0
         self.guard_fails = 0
@@ -231,10 +231,10 @@ class ICache:
     def _doom_superblocks(self, block: Block) -> None:
         """Invalidate every superblock *block* participates in.
 
-        The doomed superblock's head becomes eligible for re-formation
+        The doomed superblock's head becomes eligible for re-compilation
         (after re-heating — a page under repeated patching must not thrash
-        the formation machinery), and the other constituents forget the
-        doomed superblock so the membership lists stay small.
+        the compiler), and the other constituents forget the doomed
+        superblock so the membership lists stay small.
         """
         for sb in block.sbs:
             if not sb.valid:

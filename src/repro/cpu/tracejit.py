@@ -1,8 +1,11 @@
-"""Trace compiler: superblocks → ``exec``'d Python functions.
+"""Trace JIT: hot chains → superblocks → ``exec``'d Python functions.
 
-:func:`compile_superblock` turns a hot :class:`repro.cpu.engine.Superblock`
-into one flat Python function that performs the same architectural steps
-as interpreted replay, minus the per-instruction overhead:
+:func:`form_superblock` stitches the hot chain starting at a block into a
+:class:`Superblock` and compiles it on the spot; :func:`run_trace` runs
+the compiled function.  A superblock exists only as the compiler's input:
+one that cannot be compiled is never registered.  The generated function
+performs the same architectural steps as chained block replay, minus the
+per-instruction overhead:
 
 - register and flag updates are inlined (``r[3] = (r[3] + r[5]) & M``
   instead of a closure call through ``ctx.get``/``ctx.set``);
@@ -20,25 +23,27 @@ as interpreted replay, minus the per-instruction overhead:
   recorded direction falls through into the next segment's code, the
   other direction materializes RIP and returns the retire count, so a
   guard failure *is* just an early return (the caller un-charges the
-  tail and the interpreter resumes).
+  tail and chained blocks resume).
 
-Fault accounting contract with :func:`repro.cpu.engine.run_superblock`:
-before every step that can raise, the generated code sets
-``env.unit_retired = base + k + 1`` (*k* the 0-based step index), so the
-caller's un-charge and the scheduler's retire attribution match the
-per-block replay path bit-for-bit.
+Fault accounting contract with :func:`run_trace`: before every step that
+can raise, the generated code sets ``env.unit_retired = base + k + 1``
+(*k* the 0-based step index), so the caller's un-charge and the
+scheduler's retire attribution match the per-block replay path
+bit-for-bit.
 
 Compilation is *best-effort*: any construct outside the supported subset
-(an unsupported condition code, a missing ``env.mem_space``) returns
-``False`` and the superblock simply stays interpreted.
+(an unsupported mnemonic or condition code, a missing ``env.mem_space``)
+declines, and the head keeps running as chained blocks.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import List, Optional
 
 from repro.arch.isa import Cond, Mnemonic
+from repro.cpu.cycles import Event
+from repro.cpu.icache import Block, TERM_END, TERM_INDIRECT
 from repro.errors import Breakpoint, Halt, InvalidOpcode
 
 _MASK64 = (1 << 64) - 1
@@ -60,6 +65,90 @@ _COND_EXPR = {
     Cond.S: "f.sf",
     Cond.NS: "not f.sf",
 }
+
+
+class Superblock:
+    """A hot chain of blocks compiled into one trace.
+
+    ``valid`` is flipped by the owning icache the moment any constituent
+    block is dropped; ``trace`` is the compiled function.
+    """
+
+    __slots__ = ("entry", "blocks", "n_steps", "tail_end", "valid", "trace")
+
+    def __init__(self, blocks: List[Block]):
+        self.entry = blocks[0].entry
+        self.blocks = blocks
+        self.n_steps = sum(len(block.steps) for block in blocks)
+        #: True when the final constituent ends the unit (syscall,
+        #: hostcall, serializing, faulting trio).
+        self.tail_end = blocks[-1].term == TERM_END
+        self.valid = True
+        self.trace = None
+
+
+def form_superblock(icache, head: Block, env) -> Optional[Superblock]:
+    """Stitch the hot chain starting at *head* and compile it.
+
+    Follows each block's last-observed successor edge across direct and
+    conditional terminators, stopping at a unit-ending or indirect block,
+    an unchained/invalid edge, a revisited entry (loop closure), or
+    ``superblock_max`` steps.  A compiled superblock is registered with
+    every constituent so invalidation dooms it; a declined one is dropped
+    and ``None`` returned.
+    """
+    blocks = [head]
+    seen = {head.entry}
+    total = len(head.steps)
+    limit = icache.engine.superblock_max
+    current = head
+    while current.term < TERM_INDIRECT:
+        successor = current.succ
+        if successor is None or not successor.valid:
+            break
+        if (successor.entry in seen
+                or total + len(successor.steps) > limit):
+            break
+        blocks.append(successor)
+        seen.add(successor.entry)
+        total += len(successor.steps)
+        current = successor
+    superblock = Superblock(blocks)
+    trace = compile_superblock(superblock, env)
+    if trace is None:
+        return None
+    superblock.trace = trace
+    for block in blocks:
+        block.sbs.append(superblock)
+    head.superblock = superblock
+    icache.traces_compiled += 1
+    return superblock
+
+
+def run_trace(env, ctx, icache, sb: Superblock, base: int) -> int:
+    """Run *sb*'s compiled trace.
+
+    *base* is the number of instructions already retired this unit; fault
+    paths report ``env.unit_retired = base + <in-trace index> + 1`` so the
+    scheduler's attribution matches the per-block path exactly.  Returns
+    the number of steps retired (``< n_steps`` on a guard failure or a
+    self-invalidating store, with the overshoot un-charged).
+    """
+    n = sb.n_steps
+    env.charge(Event.INSTRUCTION, n)
+    icache.trace_hits += 1
+    try:
+        i = sb.trace(env, ctx, base)
+    except BaseException:
+        # The trace maintains env.unit_retired before every step that
+        # can raise; un-charge only the never-executed tail.
+        overshoot = n - (env.unit_retired - base)
+        if overshoot > 0:
+            env.charge(Event.INSTRUCTION, -overshoot)
+        raise
+    if i < n:
+        env.charge(Event.INSTRUCTION, -(n - i))
+    return i
 
 
 class _Unsupported(Exception):
@@ -166,14 +255,14 @@ def _pop(out: _Emitter, k: int, next_rip: int) -> None:
     out.emit(f"r[4] = (a + 8) & {_M_HEX}")
 
 
-def compile_superblock(sb, env):
-    """Compile *sb* to a trace function, or ``False`` if declined."""
+def compile_superblock(sb: Superblock, env):
+    """Compile *sb* to a trace function, or ``None`` if declined."""
     if getattr(env, "mem_space", None) is None:
-        return False
+        return None
     try:
         source = _generate(sb)
     except _Unsupported:
-        return False
+        return None
     namespace = {"_pack": _PACK_Q, "_unpack": _UNPACK_Q,
                  "_Breakpoint": Breakpoint, "_InvalidOpcode": InvalidOpcode,
                  "_Halt": Halt, "_sb": sb}

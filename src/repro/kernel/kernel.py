@@ -126,12 +126,11 @@ class Kernel:
         #: faster.
         self.block_cache_enabled = os.environ.get(
             "REPRO_NO_BLOCK_CACHE", "") != "1"
-        #: Execution-engine tiers layered on the block cache
-        #: (repro.cpu.engine): block chaining, superblock formation, and
-        #: the trace JIT, each with its own escape hatch (REPRO_NO_CHAIN /
-        #: REPRO_NO_SUPERBLOCK / REPRO_NO_TRACE_JIT).  Semantics are
-        #: byte-identical across every configuration; the tiers only
-        #: remove interpreter overhead.
+        #: Execution engine layered on the block cache (repro.cpu.engine):
+        #: blocks always chain; hot chains compile to traces unless
+        #: REPRO_NO_TRACE_JIT=1.  Semantics are byte-identical in every
+        #: configuration; chaining and the JIT only remove interpreter
+        #: overhead.
         self.engine = EngineConfig.from_env()
         #: Probability that a mid-patch preemption window actually lets
         #: sibling threads run (pitfall P5).  The window is nanoseconds wide
@@ -792,18 +791,11 @@ class Kernel:
         from repro.observability.events import EngineStats
 
         stats = self.interp_stats()
-        flags = self.engine.flags()
-        if not self.block_cache_enabled:
-            tiers = "single-step"
-        else:
-            tiers = "+".join(n for n in ("chain", "superblock", "trace_jit")
-                             if flags[n]) or "block-cache"
         self.bus.emit(EngineStats(
-            ts=self.cycles.cycles, pid=0, tid=0, tiers=tiers,
+            ts=self.cycles.cycles, pid=0, tid=0,
+            tiers=self.engine.label(self.block_cache_enabled),
             chain_links=stats["chain_links"],
             chain_follows=stats["chain_follows"],
-            superblocks_formed=stats["superblocks_formed"],
-            superblock_hits=stats["superblock_hits"],
             traces_compiled=stats["traces_compiled"],
             trace_hits=stats["trace_hits"],
             guard_fails=stats["guard_fails"],
@@ -865,7 +857,6 @@ class Kernel:
                  "icache_hits": 0, "icache_misses": 0,
                  "block_hits": 0, "block_installs": 0,
                  "chain_links": 0, "chain_follows": 0,
-                 "superblocks_formed": 0, "superblock_hits": 0,
                  "traces_compiled": 0, "trace_hits": 0,
                  "guard_fails": 0, "invalidation_unlinks": 0}
         for process in self.processes.values():
@@ -877,8 +868,6 @@ class Kernel:
                 stats["block_installs"] += icache.block_installs
                 stats["chain_links"] += icache.chain_links
                 stats["chain_follows"] += icache.chain_follows
-                stats["superblocks_formed"] += icache.superblocks_formed
-                stats["superblock_hits"] += icache.superblock_hits
                 stats["traces_compiled"] += icache.traces_compiled
                 stats["trace_hits"] += icache.trace_hits
                 stats["guard_fails"] += icache.guard_fails

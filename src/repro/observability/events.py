@@ -217,18 +217,16 @@ class EngineStats(BusEvent):
 
     Emitted once per ``run_process`` completion (when a sink is attached)
     so traces record how the work was executed: how many unit dispatches
-    hit a chained edge, how often superblocks and compiled traces
-    replayed, and how the speculation failed (``guard_fails``) or was torn
-    down (``invalidation_unlinks``).  ``tiers`` is the
-    :meth:`repro.cpu.engine.EngineConfig.flags` rendering, e.g.
-    ``"chain+superblock+trace_jit"`` or ``"interp"``.
+    hit a chained edge, how often compiled traces ran, and how the
+    speculation failed (``guard_fails``) or was torn down
+    (``invalidation_unlinks``).  ``tiers`` is the
+    :meth:`repro.cpu.engine.EngineConfig.label` rendering:
+    ``"single-step"``, ``"chain"`` or ``"chain+trace_jit"``.
     """
 
     tiers: str
     chain_links: int
     chain_follows: int
-    superblocks_formed: int
-    superblock_hits: int
     traces_compiled: int
     trace_hits: int
     guard_fails: int

@@ -256,8 +256,8 @@ class Recorder(Sink):
             "final_seq": final_seq,
             "exit_status": exit_status,
             "interval": self.interval,
-            "engine_tiers": self.kernel.engine.flags(),
-            "block_cache": self.kernel.block_cache_enabled,
+            "engine_tier": self.kernel.engine.label(
+                self.kernel.block_cache_enabled),
             "skipped_unsafe": self.skipped_unsafe,
             "checkpoints": [{"index": s.index, "seq": s.seq,
                              "insns": s.insns,

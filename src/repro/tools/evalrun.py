@@ -64,16 +64,10 @@ def _interp_probe() -> str:
     icache_rate = stats["icache_hits"] / fetches if fetches else 0.0
     units = stats["block_hits"] + stats["block_installs"]
     block_rate = stats["block_hits"] / units if units else 0.0
-    if not kernel.block_cache_enabled:
-        mode = "single-step"
-    else:
-        flags = kernel.engine.flags()
-        mode = "+".join(n for n in ("chain", "superblock", "trace_jit")
-                        if flags[n]) or "block-cache"
+    mode = kernel.engine.label(kernel.block_cache_enabled)
     return (f"interp[{mode}]: {retired / elapsed:,.0f} insns/sec "
             f"(icache hit {icache_rate:.1%}, block hit {block_rate:.1%}, "
             f"{retired} insns; chains {stats['chain_follows']}, "
-            f"sb hits {stats['superblock_hits']}, "
             f"trace hits {stats['trace_hits']}, "
             f"guard fails {stats['guard_fails']})")
 

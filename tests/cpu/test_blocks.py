@@ -94,7 +94,9 @@ def test_first_visit_records_then_replays():
     assert n == 3
     assert env.icache.block_installs == 1
     assert env.icache.block_hits == 0
-    n = run_unit(env, 100)
+    # Budget = the block's length: the unit replays it once instead of
+    # following its self-chain.
+    n = run_unit(env, 3)
     assert n == 3
     assert env.icache.block_hits == 1
     assert env.context.get(Reg.RAX) == 8

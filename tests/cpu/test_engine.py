@@ -1,23 +1,24 @@
-"""Tiered execution engine: chaining, superblocks, and the trace JIT.
+"""Execution engine: chained blocks and the trace JIT.
 
 Unit tests for :mod:`repro.cpu.engine` / :mod:`repro.cpu.tracejit` at
 the mechanism level — the lockstep fuzzer
 (tests/properties/test_prop_lockstep.py) covers whole-program
 conformance; this file pins down the individual moving parts: edge
-installation and re-validation, superblock formation boundaries, batch
+installation and re-validation, trace formation boundaries, batch
 charge/un-charge accounting, guard-failure fallback, invalidation
-dooming, and the trace-compilation gate.
+dooming, and the declined-compilation path.
 """
 
 import pytest
 
 from repro.arch.assembler import Asm
 from repro.arch.registers import Reg
+import repro.cpu.tracejit as tracejit
 from repro.cpu.blocks import run_unit
+from repro.cpu.core import step
 from repro.cpu.cycles import CycleModel, Event
-from repro.cpu.engine import EngineConfig, Superblock, form_superblock
-from repro.cpu.icache import (ICache, TERM_COND, TERM_DIRECT, TERM_END,
-                              TERM_INDIRECT)
+from repro.cpu.engine import EngineConfig
+from repro.cpu.icache import ICache, TERM_END
 from repro.cpu.state import CpuContext
 from repro.memory import AddressSpace, PAGE_SIZE, Prot
 
@@ -25,13 +26,16 @@ CODE_BASE = 0x40_0000
 DATA_BASE = 0x60_0000
 STACK_TOP = 0x80_0000
 
-#: Low thresholds so short test programs cross every tier.
-HOT = dict(superblock_threshold=2, jit_threshold=2)
+#: A low threshold so short test programs compile traces.
+HOT = dict(threshold=2)
+
+#: Chained blocks without the JIT: the reference the trace path must match.
+CHAIN = EngineConfig(trace_jit=False)
 
 
 class EngineEnv:
-    """Execution environment with a tier-enabled icache and the trace-JIT
-    ``mem_space`` contract."""
+    """Execution environment with an engine-configured icache and the
+    trace-JIT ``mem_space`` contract."""
 
     def __init__(self, code: bytes, engine=None,
                  code_prot=Prot.READ | Prot.EXEC):
@@ -77,6 +81,18 @@ class EngineEnv:
             total += run_unit(self, budget)
         return total
 
+    def run_to_exit(self, single_step=False):
+        """Run units (or single steps) until the program faults or halts."""
+        try:
+            while True:
+                if single_step:
+                    step(self)
+                else:
+                    run_unit(self, 100)
+        except Exception:
+            pass
+        return self
+
 
 def build(writer, engine=None, **kwargs) -> EngineEnv:
     asm = Asm()
@@ -110,32 +126,30 @@ def loop_entry(trips=300) -> int:
 
 
 def test_config_tier_hierarchy():
-    assert EngineConfig(chain=False).superblock is False
-    assert EngineConfig(chain=False).trace_jit is False
-    assert EngineConfig(superblock=False).trace_jit is False
-    full = EngineConfig()
-    assert full.chain and full.superblock and full.trace_jit
+    """The block-cache switch outranks the JIT switch: three names."""
+    assert EngineConfig().label() == "chain+trace_jit"
+    assert EngineConfig(trace_jit=False).label() == "chain"
+    assert EngineConfig().label(block_cache=False) == "single-step"
+    assert EngineConfig(trace_jit=False).label(block_cache=False) == \
+        "single-step"
 
 
 def test_config_from_env(monkeypatch):
-    # Pin every hatch so the test holds when the suite itself runs under
-    # one (the CI engine-matrix job does exactly that).
-    monkeypatch.delenv("REPRO_NO_CHAIN", raising=False)
+    # Pin the hatch so the test holds when the suite itself runs under it
+    # (the CI engine-matrix job does exactly that).
     monkeypatch.delenv("REPRO_NO_TRACE_JIT", raising=False)
-    monkeypatch.setenv("REPRO_NO_SUPERBLOCK", "1")
+    assert EngineConfig.from_env().trace_jit is True
+    monkeypatch.setenv("REPRO_NO_TRACE_JIT", "1")
     config = EngineConfig.from_env()
-    assert config.chain is True
-    assert config.superblock is False
     assert config.trace_jit is False
-    assert config.flags() == {"chain": True, "superblock": False,
-                              "trace_jit": False}
+    assert config.label() == "chain"
 
 
 # ---------------------------------------------------------------- chaining
 
 
 def test_chain_links_and_follows():
-    env = build(counted_loop(), engine=EngineConfig(superblock=False))
+    env = build(counted_loop(), engine=CHAIN)
     env.run(4)
     ic = env.icache
     assert ic.chain_links >= 1
@@ -143,25 +157,16 @@ def test_chain_links_and_follows():
     # The loop back-edge block chains to itself via the cond edge.
     loop_block = ic._blocks[loop_entry()]
     assert loop_block.succ is loop_block
-
-
-def test_chain_disabled_is_one_block_per_unit():
-    engine = EngineConfig(chain=False)
-    env = build(counted_loop(), engine=engine)
-    try:
-        while True:
-            env.run(1)
-    except Exception:
-        pass
-    assert env.icache.chain_follows == 0
-    assert env.icache.superblocks_formed == 0
+    # Without the JIT nothing is ever offered to the compiler.
+    env.run_to_exit()
+    assert ic.traces_compiled == 0
+    assert all(b.superblock is None for b in ic._blocks.values())
 
 
 def test_stale_edge_revalidates_not_misexecutes():
     """A dropped successor is rejected by the succ.valid check and the
     chain falls back to the dictionary lookup."""
-    engine = EngineConfig(superblock=False)
-    env = build(counted_loop(), engine=engine)
+    env = build(counted_loop(), engine=CHAIN)
     env.run(4)
     ic = env.icache
     loop_block = ic._blocks[loop_entry()]
@@ -174,19 +179,22 @@ def test_stale_edge_revalidates_not_misexecutes():
     assert fresh is not loop_block and fresh.valid
 
 
-# -------------------------------------------------------------- superblocks
+# ------------------------------------------------------- trace formation
 
 
 def test_superblock_forms_after_threshold():
-    engine = EngineConfig(trace_jit=False, **HOT)
+    """A head is stitched and compiled in one go, exactly when its heat
+    reaches the threshold."""
+    engine = EngineConfig(**HOT)
     env = build(counted_loop(), engine=engine)
     env.run(8)
     ic = env.icache
-    assert ic.superblocks_formed >= 1
-    assert ic.superblock_hits >= 1
-    sb = next(b.superblock for b in ic._blocks.values()
-              if b.superblock is not None)
-    assert sb.valid
+    assert ic.traces_compiled >= 1
+    assert ic.trace_hits >= 1
+    head = next(b for b in ic._blocks.values() if b.superblock is not None)
+    sb = head.superblock
+    assert sb.valid and callable(sb.trace)
+    assert head.heat == engine.threshold
     assert sb.n_steps == sum(len(b.steps) for b in sb.blocks)
     for member in sb.blocks:
         assert sb in member.sbs
@@ -203,43 +211,41 @@ def test_superblock_formation_stops_at_term_end():
         a.dec(Reg.RCX)
         a.jne("loop")
         a.hlt()
-    engine = EngineConfig(trace_jit=False, **HOT)
-    env = build(writer, engine=engine)
+    env = build(writer, engine=EngineConfig(**HOT))
     env.run(30)
+    formed = 0
     for block in env.icache._blocks.values():
         sb = block.superblock
         if sb is None:
             continue
+        formed += 1
         # No *interior* constituent may end the unit.
         for member in sb.blocks[:-1]:
             assert member.term != TERM_END
+    assert formed >= 1
+    assert env.icache.traces_compiled == formed
 
 
 def test_superblock_batch_charge_matches_per_block():
-    """Total INSTRUCTION count is identical whether the loop retires via
-    superblocks or plain blocks (the zero-residual decomposition)."""
-    def run_with(engine):
-        env = build(counted_loop(25), engine=engine)
-        try:
-            while True:
-                env.run(1)
-        except Exception:
-            pass
+    """Total INSTRUCTION count and sim cycles are identical whether the
+    loop retires via traces, chained blocks, or single steps (the
+    zero-residual decomposition)."""
+    def run_with(engine, single_step=False):
+        env = build(counted_loop(25), engine=engine).run_to_exit(single_step)
         return env.cycles.counts[Event.INSTRUCTION], env.cycles.cycles
 
-    plain = run_with(None)
-    chained = run_with(EngineConfig(superblock=False))
-    sb = run_with(EngineConfig(trace_jit=False, **HOT))
+    stepped = run_with(CHAIN, single_step=True)
+    chained = run_with(CHAIN)
     jit = run_with(EngineConfig(**HOT))
-    assert plain == chained == sb == jit
+    default = run_with(EngineConfig())
+    assert stepped == chained == jit == default
 
 
 def test_guard_failure_falls_back():
-    """A conditional *interior* to a superblock that goes the un-recorded
-    way exits early with the tail un-charged.  The syscall block after
-    the conditional ends the superblock (TERM_END), so the ``je`` cannot
-    be the natural tail exit — its wrong-way branch must be a guard
-    failure."""
+    """A conditional *interior* to a trace that goes the un-recorded way
+    exits early with the tail un-charged.  The syscall block after the
+    conditional ends the trace (TERM_END), so the ``je`` cannot be the
+    natural tail exit — its wrong-way branch must be a guard failure."""
     def writer(a):
         a.mov_ri(Reg.RCX, 40)
         a.label("loop")
@@ -254,15 +260,9 @@ def test_guard_failure_falls_back():
         a.label("late")
         a.inc(Reg.RBX)
         a.jmp("back")
-    engine = EngineConfig(trace_jit=False, **HOT)
-    env = build(writer, engine=engine)
-    ref = build(writer, engine=None)
-    for e in (env, ref):
-        try:
-            while True:
-                e.run(1)
-        except Exception:
-            pass
+    env = build(writer, engine=EngineConfig(**HOT)).run_to_exit()
+    ref = build(writer, engine=CHAIN).run_to_exit()
+    assert env.icache.traces_compiled >= 1
     assert env.icache.guard_fails >= 1
     assert env.context.get(Reg.RBX) == ref.context.get(Reg.RBX) == 1
     assert len(env.syscalls) == len(ref.syscalls) == 39
@@ -270,8 +270,7 @@ def test_guard_failure_falls_back():
 
 
 def test_invalidation_dooms_superblock_and_reheats():
-    engine = EngineConfig(trace_jit=False, **HOT)
-    env = build(counted_loop(), engine=engine)
+    env = build(counted_loop(), engine=EngineConfig(**HOT))
     env.run(8)
     ic = env.icache
     head = next(b for b in ic._blocks.values() if b.superblock is not None)
@@ -285,14 +284,37 @@ def test_invalidation_dooms_superblock_and_reheats():
 
 
 def test_flush_all_dooms_superblocks():
-    engine = EngineConfig(trace_jit=False, **HOT)
-    env = build(counted_loop(), engine=engine)
+    env = build(counted_loop(), engine=EngineConfig(**HOT))
     env.run(8)
     ic = env.icache
     sb = next(b.superblock for b in ic._blocks.values()
               if b.superblock is not None)
     ic.flush_all()
     assert not sb.valid
+
+
+def test_form_superblock_respects_max():
+    engine = EngineConfig(superblock_max=4, **HOT)
+    env = build(counted_loop(), engine=engine)
+    env.run(8)
+    for block in env.icache._blocks.values():
+        if block.superblock is not None:
+            assert block.superblock.n_steps <= 4
+
+
+def test_superblock_loop_closure_stops_at_seen_entry():
+    """Following the self-loop's cond edge must stop when the entry
+    revisits — a superblock never contains the same block twice."""
+    env = build(counted_loop(), engine=EngineConfig(**HOT))
+    env.run(8)
+    formed = 0
+    for block in env.icache._blocks.values():
+        sb = block.superblock
+        if sb is not None:
+            formed += 1
+            entries = [b.entry for b in sb.blocks]
+            assert len(entries) == len(set(entries))
+    assert formed >= 1
 
 
 # ---------------------------------------------------------------- trace JIT
@@ -310,14 +332,8 @@ def test_trace_compiles_and_matches_interpreter():
         a.dec(Reg.RCX)
         a.jne("loop")
         a.hlt()
-    jit_env = build(writer, engine=EngineConfig(**HOT))
-    ref_env = build(writer, engine=None)
-    for env in (jit_env, ref_env):
-        try:
-            while True:
-                env.run(1)
-        except Exception:
-            pass
+    jit_env = build(writer, engine=EngineConfig(**HOT)).run_to_exit()
+    ref_env = build(writer, engine=CHAIN).run_to_exit()
     assert jit_env.icache.traces_compiled >= 1
     assert jit_env.icache.trace_hits >= 1
     assert tuple(jit_env.context._regs) == tuple(ref_env.context._regs)
@@ -326,62 +342,47 @@ def test_trace_compiles_and_matches_interpreter():
         ref_env.space.read_kernel(DATA_BASE, 8)
 
 
-def test_trace_requires_mem_space_contract():
+def test_trace_requires_mem_space_contract(monkeypatch):
     """Environments without a ``mem_space`` attribute never get traces
-    compiled — the superblock stays interpreted (trace is False)."""
+    compiled.  The declined superblock is not registered, the head runs
+    as chained blocks, and each head is offered to the compiler once —
+    not on every later visit."""
+    offered = []
+    compile_superblock = tracejit.compile_superblock
+
+    def counting(sb, env):
+        offered.append(sb.entry)
+        return compile_superblock(sb, env)
+
+    monkeypatch.setattr(tracejit, "compile_superblock", counting)
     env = build(counted_loop(60), engine=EngineConfig(**HOT))
     del env.mem_space
-    try:
-        while True:
-            env.run(1)
-    except Exception:
-        pass
-    assert env.icache.traces_compiled == 0
-    assert env.icache.superblock_hits >= 1
+    env.run_to_exit()
+    ref = build(counted_loop(60), engine=CHAIN).run_to_exit()
+    ic = env.icache
+    assert offered and len(offered) == len(set(offered))
+    assert ic.traces_compiled == 0 and ic.trace_hits == 0
+    assert all(b.superblock is None and not b.sbs
+               for b in ic._blocks.values())
+    assert ic._blocks[loop_entry(60)].heat > env.icache.engine.threshold
+    assert ic.chain_follows == ref.icache.chain_follows
+    assert tuple(env.context._regs) == tuple(ref.context._regs)
+    assert env.cycles.cycles == ref.cycles.cycles
 
 
 def test_trace_doomed_by_invalidation_mid_run():
     """A store into a compiled trace's span dooms it; the next dispatch
     re-forms from scratch instead of replaying stale code."""
-    engine = EngineConfig(**HOT)
-    env = build(counted_loop(500), engine=engine,
+    env = build(counted_loop(500), engine=EngineConfig(**HOT),
                 code_prot=Prot.READ | Prot.WRITE | Prot.EXEC)
     env.run(10)
     ic = env.icache
     assert ic.traces_compiled >= 1
     head = next(b for b in ic._blocks.values() if b.superblock is not None)
     sb = head.superblock
-    assert sb.trace not in (None, False)
+    assert callable(sb.trace)
     ic.invalidate_range(sb.blocks[0].entry, 1)
     assert not sb.valid
     before = env.context.get(Reg.RAX)
     env.run(4)
     assert env.context.get(Reg.RAX) > before
-
-
-# ------------------------------------------------------- formation details
-
-
-def test_form_superblock_respects_max():
-    engine = EngineConfig(superblock_max=4, **HOT)
-    env = build(counted_loop(), engine=engine)
-    env.run(8)
-    for block in env.icache._blocks.values():
-        if block.superblock is not None:
-            assert block.superblock.n_steps <= 4
-
-
-def test_superblock_loop_closure_stops_at_seen_entry():
-    """Following the self-loop's cond edge must stop when the entry
-    revisits — a superblock never contains the same block twice."""
-    engine = EngineConfig(trace_jit=False, **HOT)
-    env = build(counted_loop(), engine=engine)
-    env.run(8)
-    formed = 0
-    for block in env.icache._blocks.values():
-        sb = block.superblock
-        if sb is not None:
-            formed += 1
-            entries = [b.entry for b in sb.blocks]
-            assert len(entries) == len(set(entries))
-    assert formed >= 1

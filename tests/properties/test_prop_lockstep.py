@@ -10,14 +10,14 @@ self-modifying-code scenarios (P5) patch the program mid-block from a
 "remote writer" and assert both interpreters exhibit the *identical*
 stale/torn behaviour.
 
-The same differential harness drives the tiered execution engine
-(:mod:`repro.cpu.engine`): every random program also runs under block
-chaining, interpreted superblocks, and the trace JIT (thresholds lowered
-so each tier actually engages within a short program), and dedicated
-self-modifying-code tortures store into pages participating in linked
-chains and compiled traces, asserting the invalidation protocol
-(chain unlink + superblock doom) *and* bit-identical architectural state
-across all four engine configurations.
+The same differential harness drives the execution engine
+(:mod:`repro.cpu.engine`): every random program also runs as chained
+blocks and under the trace JIT (threshold lowered so traces compile
+within a short program), and dedicated self-modifying-code tortures
+store into pages participating in linked chains and compiled traces,
+asserting the invalidation protocol (chain unlink + trace doom) *and*
+bit-identical architectural state in all three configurations
+(single-step, chain, trace JIT).
 """
 
 import random
@@ -43,15 +43,12 @@ STACK_TOP = 0x80_0000
 SCRATCH = [Reg.RAX, Reg.RBX, Reg.RCX, Reg.RDX, Reg.RSI, Reg.R8, Reg.R9,
            Reg.R10]
 
-#: The four engine configurations the acceptance gate names.  Thresholds
-#: are lowered so superblocks form and traces compile within the short
-#: fuzz programs; ``None`` is the plain PR 2 one-block-per-unit path.
+#: The two block-mode configurations (the reference side single-steps,
+#: the third).  The JIT threshold is lowered so traces compile within
+#: the short fuzz programs.
 ENGINES = {
-    "block": None,
-    "chain": EngineConfig(superblock=False),
-    "superblock": EngineConfig(trace_jit=False,
-                               superblock_threshold=2, jit_threshold=2),
-    "tracejit": EngineConfig(superblock_threshold=2, jit_threshold=2),
+    "chain": EngineConfig(trace_jit=False),
+    "tracejit": EngineConfig(threshold=2),
 }
 
 
@@ -286,8 +283,8 @@ def test_lockstep_torn_two_byte_patch():
 @pytest.mark.parametrize("engine", list(ENGINES))
 @pytest.mark.parametrize("seed", range(6))
 def test_lockstep_engine_tiers(seed, engine):
-    """Every tier (chaining, interpreted superblocks, trace JIT) stays in
-    lockstep with the single-step reference on random programs."""
+    """Chained blocks and the trace JIT stay in lockstep with the
+    single-step reference on random programs."""
     rng = random.Random(3000 + seed)
     code = random_program(rng)
     block_env, step_env = lockstep(code, engine=ENGINES[engine])
@@ -295,7 +292,7 @@ def test_lockstep_engine_tiers(seed, engine):
 
 
 def _smc_chain_trace_program() -> Asm:
-    """A hot loop (chains, forms a superblock, compiles a trace), then a
+    """A hot loop (chains, then compiles a trace), then a
     same-core one-byte store *into that loop's code*, then a second hot
     loop.  The store writes the byte's existing value — the bytes do not
     change, but the invalidation protocol must fire all the same."""
@@ -333,9 +330,9 @@ def test_smc_torture_lockstep(engine):
 
 
 def test_smc_torture_unlinks_chain_and_dooms_trace():
-    """The same program, instrumented: the hot loop's superblock must have
-    compiled a trace before the store, and the store must doom it (and
-    unlink chained blocks) via the ordinary invalidation path."""
+    """The same program, instrumented: the hot loop must have compiled a
+    trace before the store, and the store must doom it (and unlink
+    chained blocks) via the ordinary invalidation path."""
     asm = _smc_chain_trace_program()
     code = asm.assemble()
     hot_entry = CODE_BASE + asm.marks["hot"]
@@ -352,9 +349,7 @@ def test_smc_torture_unlinks_chain_and_dooms_trace():
             block = env.icache._blocks.get(hot_entry)
             if block is not None and block.superblock is not None:
                 doomed_sb = block.superblock
-    assert doomed_sb is not None, "hot loop never formed a superblock"
-    assert doomed_sb.trace not in (None, False), \
-        "hot loop superblock never compiled a trace"
+    assert doomed_sb is not None, "hot loop never compiled a trace"
     assert not doomed_sb.valid, "store into the loop page did not doom"
     ic = env.icache
     assert ic.traces_compiled >= 1 and ic.trace_hits >= 1
@@ -367,7 +362,7 @@ def test_smc_store_inside_hot_loop(engine):
     """A loop whose body stores into its *own* code span every iteration.
 
     The store dooms each in-progress block recording (the PR 2 rec-doom
-    protocol), so no block — and hence no chain, superblock, or trace —
+    protocol), so no block — and hence no chain or trace —
     is ever installed over the continuously-rewritten span; execution
     degrades to safe re-recording and must match single-stepping
     exactly under every engine configuration."""

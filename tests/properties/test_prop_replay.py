@@ -6,7 +6,7 @@ One fault-injected syscall-stress run is recorded into a bundle; then:
   event suffix byte-for-byte (canonical JSON, ``seq`` excluded);
 - replay from the very start (no checkpoint) must as well;
 - the full replay must be byte-identical under **each engine-matrix
-  tier** (single-step, no-chain, no-superblock, no-trace-jit, full) —
+  tier** (single-step, no-trace-jit, full) —
   the execution engine must never leak into the semantic stream;
 - a tampered recorded stream must be *detected* as a divergence — the
   comparison is a tripwire, not a formality.
@@ -28,8 +28,6 @@ SEED = 11
 ENGINE_MATRIX = {
     "full": {},
     "no-trace-jit": {"REPRO_NO_TRACE_JIT": "1"},
-    "no-superblock": {"REPRO_NO_SUPERBLOCK": "1"},
-    "no-chain": {"REPRO_NO_CHAIN": "1"},
     "single-step": {"REPRO_NO_BLOCK_CACHE": "1"},
 }
 
