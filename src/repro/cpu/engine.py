@@ -1,9 +1,9 @@
 """Execution-engine configuration: chained blocks and the trace JIT.
 
 The basic-block translation cache (:mod:`repro.cpu.blocks`) makes a
-*block* the unit of replay.  On top of it the engine runs in one of two
-configurations (three, counting the ``REPRO_NO_BLOCK_CACHE`` single-step
-reference the kernel selects):
+*block* the unit of replay.  :class:`EngineConfig` names one of three
+configurations: the single-step reference (``REPRO_NO_BLOCK_CACHE=1``,
+no block cache at all) or the block cache in one of two tiers:
 
 1. **Chained blocks** — a block ending in a direct jump, a direct call, or
    a fall-through cut caches a reference to its successor block (a
@@ -57,29 +57,34 @@ import os
 
 
 class EngineConfig:
-    """Whether the trace JIT runs, when it compiles, and how far a trace
-    may reach."""
+    """Which of the three configurations runs and when the trace JIT
+    compiles."""
 
-    __slots__ = ("trace_jit", "threshold", "superblock_max")
+    __slots__ = ("block_cache", "trace_jit", "threshold")
 
     def __init__(self, trace_jit: bool = True, threshold: int = 16,
-                 superblock_max: int = 96):
+                 block_cache: bool = True):
+        self.block_cache = block_cache
         self.trace_jit = trace_jit
         self.threshold = threshold
-        self.superblock_max = superblock_max
 
     @classmethod
     def from_env(cls) -> "EngineConfig":
-        """The configuration the ``REPRO_NO_TRACE_JIT`` hatch selects."""
-        return cls(trace_jit=os.environ.get("REPRO_NO_TRACE_JIT", "") != "1")
+        """The configuration the ``REPRO_NO_BLOCK_CACHE`` and
+        ``REPRO_NO_TRACE_JIT`` hatches select."""
+        return cls(
+            trace_jit=os.environ.get("REPRO_NO_TRACE_JIT", "") != "1",
+            block_cache=os.environ.get("REPRO_NO_BLOCK_CACHE", "") != "1")
 
-    def label(self, block_cache: bool = True) -> str:
+    def label(self) -> str:
         """The configuration's name in stats, probes and cache keys:
-        ``single-step`` (block cache off), ``chain`` or ``chain+trace_jit``."""
-        if not block_cache:
+        ``single-step`` (block cache off, which outranks the JIT switch),
+        ``chain`` or ``chain+trace_jit``."""
+        if not self.block_cache:
             return "single-step"
         return "chain+trace_jit" if self.trace_jit else "chain"
 
     def __repr__(self) -> str:
         return (f"EngineConfig(trace_jit={self.trace_jit}, "
-                f"threshold={self.threshold})")
+                f"threshold={self.threshold}, "
+                f"block_cache={self.block_cache})")

@@ -52,6 +52,9 @@ _SIGN_HEX = "0x8000000000000000"
 _PACK_Q = struct.Struct("<Q").pack
 _UNPACK_Q = struct.Struct("<Q").unpack
 
+#: Longest trace, in instructions, that formation stitches together.
+SUPERBLOCK_MAX = 96
+
 #: Condition → Python expression over the bound ``f`` (flags) local.
 #: Mirrors :func:`repro.cpu.dispatch.cond_met`; conditions it raises
 #: InvalidOpcode for are simply not compiled (the interpreter raises).
@@ -93,14 +96,14 @@ def form_superblock(icache, head: Block, env) -> Optional[Superblock]:
     Follows each block's last-observed successor edge across direct and
     conditional terminators, stopping at a unit-ending or indirect block,
     an unchained/invalid edge, a revisited entry (loop closure), or
-    ``superblock_max`` steps.  A compiled superblock is registered with
+    :data:`SUPERBLOCK_MAX` steps.  A compiled superblock is registered with
     every constituent so invalidation dooms it; a declined one is dropped
     and ``None`` returned.
     """
     blocks = [head]
     seen = {head.entry}
     total = len(head.steps)
-    limit = icache.engine.superblock_max
+    limit = SUPERBLOCK_MAX
     current = head
     while current.term < TERM_INDIRECT:
         successor = current.succ

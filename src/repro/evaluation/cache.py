@@ -112,8 +112,7 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
     # measured under different REPRO_NO_* hatches must never share an
     # entry: a hatched re-run has to re-execute, not read back the cached
     # full-tier value it was meant to cross-check.
-    constants["engine"] = EngineConfig.from_env().label(
-        block_cache=os.environ.get("REPRO_NO_BLOCK_CACHE", "") != "1")
+    constants["engine"] = EngineConfig.from_env().label()
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": kind,

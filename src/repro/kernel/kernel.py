@@ -18,7 +18,6 @@ raw material for the exhaustiveness experiments (P2a/P2b).
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -119,17 +118,14 @@ class Kernel:
         self.vdso_calls: List[tuple] = []
         self.quantum = DEFAULT_QUANTUM
         self._preempting = False
-        #: Basic-block translation cache (repro.cpu.blocks).  The
-        #: REPRO_NO_BLOCK_CACHE=1 escape hatch selects the reference
-        #: single-step path; results are byte-identical either way (the
-        #: equivalence the lockstep tests assert), the block path is just
-        #: faster.
-        self.block_cache_enabled = os.environ.get(
-            "REPRO_NO_BLOCK_CACHE", "") != "1"
-        #: Execution engine layered on the block cache (repro.cpu.engine):
-        #: blocks always chain; hot chains compile to traces unless
+        #: Execution engine (repro.cpu.engine), one of three
+        #: configurations: REPRO_NO_BLOCK_CACHE=1 selects the reference
+        #: single-step path (``engine.block_cache`` off); otherwise blocks
+        #: replay from the translation cache (repro.cpu.blocks) and always
+        #: chain, and hot chains compile to traces unless
         #: REPRO_NO_TRACE_JIT=1.  Semantics are byte-identical in every
-        #: configuration; chaining and the JIT only remove interpreter
+        #: configuration (the equivalence the lockstep tests assert); the
+        #: block cache, chaining and the JIT only remove interpreter
         #: overhead.
         self.engine = EngineConfig.from_env()
         #: Probability that a mid-patch preemption window actually lets
@@ -654,7 +650,7 @@ class Kernel:
         identical retire counts in both interpreter modes.
         """
         fi = self.fault_injector
-        if not self.block_cache_enabled:
+        if not self.engine.block_cache:
             alive = self.step_thread(thread)
             n = 1 if alive else 0
         else:
@@ -793,7 +789,7 @@ class Kernel:
         stats = self.interp_stats()
         self.bus.emit(EngineStats(
             ts=self.cycles.cycles, pid=0, tid=0,
-            tiers=self.engine.label(self.block_cache_enabled),
+            tiers=self.engine.label(),
             chain_links=stats["chain_links"],
             chain_follows=stats["chain_follows"],
             traces_compiled=stats["traces_compiled"],

@@ -256,8 +256,7 @@ class Recorder(Sink):
             "final_seq": final_seq,
             "exit_status": exit_status,
             "interval": self.interval,
-            "engine_tier": self.kernel.engine.label(
-                self.kernel.block_cache_enabled),
+            "engine_tier": self.kernel.engine.label(),
             "skipped_unsafe": self.skipped_unsafe,
             "checkpoints": [{"index": s.index, "seq": s.seq,
                              "insns": s.insns,

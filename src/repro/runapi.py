@@ -465,7 +465,7 @@ def prepare(config: RunConfig) -> PreparedRun:
     kernel = Kernel(seed=config.seed, aslr=config.aslr)
     kernel.torn_window_probability = 0.0
     if config.block_cache is not None:
-        kernel.block_cache_enabled = config.block_cache
+        kernel.engine.block_cache = config.block_cache
     suite = None
     if config.analyzers:
         from repro.observability.analyzers import AnalyzerSuite

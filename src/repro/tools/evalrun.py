@@ -64,7 +64,7 @@ def _interp_probe() -> str:
     icache_rate = stats["icache_hits"] / fetches if fetches else 0.0
     units = stats["block_hits"] + stats["block_installs"]
     block_rate = stats["block_hits"] / units if units else 0.0
-    mode = kernel.engine.label(kernel.block_cache_enabled)
+    mode = kernel.engine.label()
     return (f"interp[{mode}]: {retired / elapsed:,.0f} insns/sec "
             f"(icache hit {icache_rate:.1%}, block hit {block_rate:.1%}, "
             f"{retired} insns; chains {stats['chain_follows']}, "

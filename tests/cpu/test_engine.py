@@ -129,20 +129,25 @@ def test_config_tier_hierarchy():
     """The block-cache switch outranks the JIT switch: three names."""
     assert EngineConfig().label() == "chain+trace_jit"
     assert EngineConfig(trace_jit=False).label() == "chain"
-    assert EngineConfig().label(block_cache=False) == "single-step"
-    assert EngineConfig(trace_jit=False).label(block_cache=False) == \
+    assert EngineConfig(block_cache=False).label() == "single-step"
+    assert EngineConfig(trace_jit=False, block_cache=False).label() == \
         "single-step"
 
 
 def test_config_from_env(monkeypatch):
-    # Pin the hatch so the test holds when the suite itself runs under it
-    # (the CI engine-matrix job does exactly that).
+    # Pin the hatches so the test holds when the suite itself runs under
+    # one (the CI engine-matrix and block-cache-off jobs do exactly that).
     monkeypatch.delenv("REPRO_NO_TRACE_JIT", raising=False)
-    assert EngineConfig.from_env().trace_jit is True
+    monkeypatch.delenv("REPRO_NO_BLOCK_CACHE", raising=False)
+    assert EngineConfig.from_env().label() == "chain+trace_jit"
     monkeypatch.setenv("REPRO_NO_TRACE_JIT", "1")
     config = EngineConfig.from_env()
     assert config.trace_jit is False
     assert config.label() == "chain"
+    monkeypatch.setenv("REPRO_NO_BLOCK_CACHE", "1")
+    config = EngineConfig.from_env()
+    assert config.block_cache is False
+    assert config.label() == "single-step"
 
 
 # ---------------------------------------------------------------- chaining
@@ -293,9 +298,9 @@ def test_flush_all_dooms_superblocks():
     assert not sb.valid
 
 
-def test_form_superblock_respects_max():
-    engine = EngineConfig(superblock_max=4, **HOT)
-    env = build(counted_loop(), engine=engine)
+def test_form_superblock_respects_max(monkeypatch):
+    monkeypatch.setattr(tracejit, "SUPERBLOCK_MAX", 4)
+    env = build(counted_loop(), engine=EngineConfig(**HOT))
     env.run(8)
     for block in env.icache._blocks.values():
         if block.superblock is not None:

@@ -16,7 +16,7 @@ def stress_kernel(block_cache=None, iterations=20) -> Kernel:
     kernel = Kernel(seed=777, aslr=False)
     kernel.torn_window_probability = 0.0
     if block_cache is not None:
-        kernel.block_cache_enabled = block_cache
+        kernel.engine.block_cache = block_cache
     build_stress(iterations).register(kernel)
     return kernel
 

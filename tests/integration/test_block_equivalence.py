@@ -35,9 +35,9 @@ def _with_flag(value, fn):
 
 
 def test_flag_controls_block_cache():
-    assert _with_flag(None, lambda: Kernel(seed=1).block_cache_enabled)
-    assert not _with_flag("1", lambda: Kernel(seed=1).block_cache_enabled)
-    assert _with_flag("0", lambda: Kernel(seed=1).block_cache_enabled)
+    assert _with_flag(None, lambda: Kernel(seed=1).engine.block_cache)
+    assert not _with_flag("1", lambda: Kernel(seed=1).engine.block_cache)
+    assert _with_flag("0", lambda: Kernel(seed=1).engine.block_cache)
 
 
 @pytest.mark.parametrize("mechanism", [

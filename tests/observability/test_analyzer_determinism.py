@@ -29,7 +29,7 @@ def _seeded_run(pitfall, kit, block_cache):
     setup = PITFALL_SETUPS[pitfall]
     kernel, _interposer = kit.build(setup.register,
                                     offline_paths=setup.offline_paths)
-    kernel.block_cache_enabled = block_cache
+    kernel.engine.block_cache = block_cache
     live = default_suite()
     recorder = RingBufferSink(capacity=400_000, keep_charges=True)
     kernel.bus.attach(live)

@@ -24,7 +24,7 @@ def _run(mechanism: str, block_cache: bool, traced: bool):
     from repro.interposers.registry import REGISTRY
 
     kernel = Kernel(seed=777, aslr=False)
-    kernel.block_cache_enabled = block_cache
+    kernel.engine.block_cache = block_cache
     kernel.torn_window_probability = 0.0
     sinks = None
     if traced:

@@ -58,7 +58,7 @@ class TestKernelStaleCode:
         host actor munmaps that page mid-run, and the next call must take
         a SIGSEGV — never replay the stale recorded block."""
         kernel = Kernel(seed=7, aslr=False)
-        kernel.block_cache_enabled = block_cache
+        kernel.engine.block_cache = block_cache
 
         def unmap_func_page(thread) -> None:
             base, image, _ns = thread.process.loaded_images["/bin/unmapself"]
